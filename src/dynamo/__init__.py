@@ -64,7 +64,6 @@ from .ingest import (
 )
 from .louvain import (
     DEFAULT_EPSILON,
-    CompressedGraph,
     compress,
     local_moving_pass,
     louvain,

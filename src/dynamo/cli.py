@@ -75,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--with-baseline", action="store_true",
                      help="score dynamo against static detection even when "
                           "louvain is not selected")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="thread pool size for independent pipelines")
     run.add_argument("--output", default="-", help="report path, or - for stdout")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.set_defaults(handler=_cmd_run)
@@ -141,7 +139,6 @@ def _cmd_run(args) -> int:
             seed=args.seed,
             repeat=args.repeat,
             with_baseline=args.with_baseline,
-            jobs=args.jobs,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None

@@ -2,8 +2,10 @@
 
 A graph snapshot is value-semantic: mutating operations return a new graph and
 leave the input untouched, so a sequence of snapshots can be compared safely.
-Partitions carry per-community aggregates (``alpha``, ``beta``) that make
-modularity and the incremental update formulas O(1) per community:
+The same graph type serves input snapshots and Louvain's aggregated levels;
+only the latter carry per-vertex self weights. Partitions carry per-community
+aggregates (``alpha``, ``beta``) that make modularity and the incremental
+update formulas O(1) per community:
 
 * ``alpha[c]``  -- total weight of ordered intra-community pairs, i.e. twice the
   sum of internal edge weights (plus any internal self-loop weight once).
@@ -16,7 +18,7 @@ With ``m`` the total edge weight, modularity is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     DuplicateVertexError,
@@ -31,20 +33,31 @@ _WEIGHT_EPS = 1e-12
 
 
 class WeightedGraph:
-    """Undirected weighted simple graph with cached strengths and total weight.
+    """Undirected weighted graph with cached strengths and total weight.
 
     Instances are immutable once constructed; all mutation goes through
     :func:`apply_delta`, which returns a new graph. Edge weights are strictly
     positive; parallel edges collapse into a single summed weight at
     construction and self-loops are rejected.
+
+    The one exception is the optional per-vertex self weight, which only
+    :func:`dynamo.louvain.compress` produces. It follows the ordered-pair
+    convention of ``alpha`` (twice the internal edge sum of an aggregated
+    community), so it adds its full value to the vertex strength and half of it
+    to the total weight. Deltas cannot express it: :meth:`edges`,
+    :func:`diff` and :func:`apply_delta` cover edges only.
     """
 
-    __slots__ = ("_adj", "_strength", "_m")
+    __slots__ = ("_adj", "_self", "_strength", "_m")
 
-    def __init__(self, adjacency: dict[int, dict[int, float]]):
+    def __init__(self, adjacency: dict[int, dict[int, float]],
+                 self_weights: Optional[dict[int, float]] = None):
         # Internal constructor: takes ownership of a symmetric adjacency dict.
         self._adj = adjacency
+        self._self = self_weights or {}
         self._strength = {u: _stable_sum(nbrs) for u, nbrs in adjacency.items()}
+        for u, s in self._self.items():
+            self._strength[u] += s
         self._m = 0.5 * _stable_sum(self._strength)
 
     @classmethod
@@ -122,8 +135,8 @@ class WeightedGraph:
             raise UnknownVertexError(f"vertex {u} not in graph") from None
 
     def self_weight(self, u: int) -> float:
-        # Input graphs never carry self-loops; compressed graphs override this.
-        return 0.0
+        """Self-loop weight of ``u`` in the ordered-pair convention (0.0 when absent)."""
+        return self._self.get(u, 0.0)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield each edge once as ``(u, v, w)`` with ``u < v``, in sorted order."""
@@ -138,7 +151,8 @@ class WeightedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self._adj == other._adj
+        return self._adj == other._adj and all(
+            self.self_weight(u) == other.self_weight(u) for u in self._adj)
 
     def __hash__(self):
         raise TypeError("WeightedGraph is not hashable")

@@ -12,7 +12,6 @@ against the same-snapshot static partition, which serves as the reference.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -36,7 +35,6 @@ class RunConfig:
     seed: Optional[int] = None
     repeat: int = 1
     with_baseline: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.algorithms:
@@ -46,8 +44,6 @@ class RunConfig:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         if self.repeat < 1:
             raise ValueError("repeat must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 @dataclass
@@ -73,14 +69,7 @@ def run_benchmark(
     if need_baseline and "louvain" not in to_run:
         to_run.append("louvain")
 
-    results: dict[str, _PipelineResult] = {}
-    if config.jobs > 1 and len(to_run) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {name: pool.submit(_run_pipeline, name, snapshots, config)
-                       for name in to_run}
-            results = {name: f.result() for name, f in futures.items()}
-    else:
-        results = {name: _run_pipeline(name, snapshots, config) for name in to_run}
+    results = {name: _run_pipeline(name, snapshots, config) for name in to_run}
 
     reports: list[SnapshotReport] = []
     for name in pipelines:

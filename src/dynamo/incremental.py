@@ -171,7 +171,7 @@ def init(
         pair_of[i] = pair
         pair_of[j] = pair
 
-    def handle_vertex_del(k: int) -> None:
+    def dissolve_around(k: int) -> None:
         dissolve.add(p_t.community_of(k))
         for l in g_t.neighbors(k):
             dissolve.add(p_t.community_of(l))
@@ -197,36 +197,30 @@ def init(
         for l in sorted(g_t.neighbors(k)):
             changed_edges.append(EdgeChange(k, l, -g_t.weight(k, l)))
 
-    m = g_t.total_weight
-    for u, v, dw in changed_edges:
-        special = False
-        for k in (u, v):
-            if k in removed:
-                handle_vertex_del(k)
-                special = True
-            elif k in added or not g_t.has_vertex(k):
-                handle_vertex_add(k)
-                special = True
-        if special:
-            continue
-
-        c_u = p_t.community_of(u)
-        c_v = p_t.community_of(v)
-        if dw < 0.0:
-            if c_u == c_v:
-                dissolve.add(c_u)
-                for k in (u, v):
-                    for l in g_t.neighbors(k):
-                        dissolve.add(p_t.community_of(l))
-            # cross-community decreases strengthen the structure: no entries
-        else:
-            if c_u == c_v:
-                dissolve.add(c_u)
-                seed_pair(u, v)
-            elif _merge_improves(g_t, p_t, c_u, c_v, dw, cross_cache):
+    for change in changed_edges:
+        kind = classify(g_t, p_t, change, d)
+        u, v, dw = change
+        if kind is ChangeKind.VERTEX_DEL or kind is ChangeKind.VERTEX_ADD:
+            # one edge can join a removed and an added vertex: handle each end
+            for k in (u, v):
+                if k in removed:
+                    dissolve_around(k)
+                elif k in added or not g_t.has_vertex(k):
+                    handle_vertex_add(k)
+        elif kind is ChangeKind.ICED_WD:
+            dissolve_around(u)
+            dissolve_around(v)
+        elif kind is ChangeKind.ICEA_WI:
+            dissolve.add(p_t.community_of(u))
+            seed_pair(u, v)
+        elif kind is ChangeKind.CCEA_WI:
+            c_u = p_t.community_of(u)
+            c_v = p_t.community_of(v)
+            if _merge_improves(g_t, p_t, c_u, c_v, dw, cross_cache):
                 dissolve.add(c_u)
                 dissolve.add(c_v)
                 seed_pair(u, v)
+        # CCED_WD: cross-community decreases strengthen the structure; no entries
 
     pairs = frozenset(pair_of.values())
     return InitPlan(frozenset(dissolve), pairs)
@@ -252,18 +246,13 @@ def intermediate_partition(
     removed = d.removed_vertices
     added = d.added_vertices
 
+    # the other kinds dissolve every community they touch, so only
+    # cross-community changes shift the beta of a surviving community
     beta_shift: dict[int, float] = {}
-    for u, v, dw in d.edge_changes:
-        if u in removed or v in removed or u in added or v in added:
-            continue
-        if not (g_t1.has_vertex(u) and g_t1.has_vertex(v)):
-            continue
-        c_u = p_t.community_of(u)
-        c_v = p_t.community_of(v)
-        if c_u == c_v:
-            continue  # intra-community changes dissolve the community anyway
-        beta_shift[c_u] = beta_shift.get(c_u, 0.0) + dw
-        beta_shift[c_v] = beta_shift.get(c_v, 0.0) + dw
+    for ec in d.edge_changes:
+        if classify(g_t1, p_t, ec, d) in (ChangeKind.CCEA_WI, ChangeKind.CCED_WD):
+            for c in (p_t.community_of(ec.u), p_t.community_of(ec.v)):
+                beta_shift[c] = beta_shift.get(c, 0.0) + ec.delta_w
 
     assign: dict[int, int] = {}
     members: dict[int, frozenset[int]] = {}

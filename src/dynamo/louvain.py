@@ -4,6 +4,12 @@ The optimizer accepts an arbitrary starting partition, which is exactly how the
 incremental updater reuses it: the update builds an intermediate partition and
 hands it to :func:`louvain` instead of starting from singletons.
 
+Aggregation (:func:`compress`) yields another :class:`WeightedGraph`: one
+vertex per community, named by the community id, with the community's internal
+weight as self weight. Every level therefore runs the same local-moving code,
+and unfolding maps each original vertex through the community ids of the
+levels above it.
+
 Vertex sweeps run in ascending vertex-id order with smallest-community-id tie
 breaking, so detection is fully deterministic; pass ``order_seed`` to shuffle
 the sweep order reproducibly instead.
@@ -12,92 +18,40 @@ the sweep order reproducibly instead.
 from __future__ import annotations
 
 import random
-from typing import Mapping, Optional
+from typing import Optional
 
 from .errors import EmptyGraphError, UnknownVertexError
-from .graph import Partition, WeightedGraph, modularity, _stable_sum
+from .graph import Partition, WeightedGraph
 
 DEFAULT_EPSILON = 1e-7
 
 
-class CompressedGraph:
-    """Aggregated graph whose vertices are the communities of a source partition.
+def compress(g: WeightedGraph, p: Partition) -> WeightedGraph:
+    """Aggregate each community of ``p`` into one vertex with the community's id.
 
-    ``self_weights[c]`` carries the community's internal weight in the ordered
-    pair convention (twice the internal edge sum), so each self-loop contributes
-    its full value to the super-vertex strength and half of it to the total
-    weight. Under this convention the identity partition of the compressed
-    graph has the same modularity as the source partition on the source graph.
-    """
-
-    __slots__ = ("_adj", "_self", "_strength", "_m", "parent_map")
-
-    def __init__(
-        self,
-        adjacency: dict[int, dict[int, float]],
-        self_weights: dict[int, float],
-        parent_map: dict[int, int],
-    ):
-        self._adj = adjacency
-        self._self = self_weights
-        self._strength = {
-            u: _stable_sum(adjacency[u]) + self_weights.get(u, 0.0) for u in adjacency
-        }
-        self._m = 0.5 * _stable_sum(self._strength)
-        #: maps each vertex of the source graph to its super-vertex id
-        self.parent_map = parent_map
-
-    @property
-    def vertices(self):
-        return self._adj.keys()
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self._adj)
-
-    @property
-    def total_weight(self) -> float:
-        return self._m
-
-    def neighbors(self, u: int) -> Mapping[int, float]:
-        return self._adj[u]
-
-    def strength(self, u: int) -> float:
-        return self._strength[u]
-
-    def self_weight(self, u: int) -> float:
-        return self._self.get(u, 0.0)
-
-    def __repr__(self) -> str:
-        return f"CompressedGraph(|V|={self.num_vertices}, m={self._m:g})"
-
-
-def compress(g, p: Partition) -> CompressedGraph:
-    """Aggregate each community of ``p`` into one super-vertex.
-
-    Super-vertices are numbered 0..k-1 in ascending order of the source
-    community ids; ``parent_map`` retains the vertex-to-super-vertex mapping
-    for unfolding.
+    Each result vertex carries its community's internal weight as self weight
+    (see :class:`WeightedGraph`), so the identity partition of the result has
+    the same modularity as ``p`` on ``g``. Vertices keep the order of their
+    community ids, so sweep order and smallest-id tie breaks on the result
+    match those of a 0..k-1 renumbering.
     """
     cids = sorted(p.community_ids)
-    super_of_community = {c: i for i, c in enumerate(cids)}
-    parent_map = {v: super_of_community[p.community_of(v)] for v in g.vertices}
-
-    adj: dict[int, dict[int, float]] = {i: {} for i in range(len(cids))}
-    self_w: dict[int, float] = {i: 0.0 for i in range(len(cids))}
+    community_of = p.assignment
+    adj: dict[int, dict[int, float]] = {c: {} for c in cids}
+    self_w: dict[int, float] = {c: 0.0 for c in cids}
     for u in sorted(g.vertices):
-        cu = parent_map[u]
+        cu = community_of[u]
         self_w[cu] += g.self_weight(u)
         row = adj[cu]
         for v, w in g.neighbors(u).items():
             if u < v:
-                cv = parent_map[v]
+                cv = community_of[v]
                 if cu == cv:
                     self_w[cu] += 2.0 * w
                 else:
                     row[cv] = row.get(cv, 0.0) + w
                     adj[cv][cu] = row[cv]
-    return CompressedGraph(adj, self_w, parent_map)
+    return WeightedGraph(adj, self_w)
 
 
 def local_moving_pass(g, p: Partition, epsilon: float = DEFAULT_EPSILON,
@@ -201,20 +155,14 @@ def louvain(
     rng = random.Random(order_seed) if order_seed is not None else None
     level_graph = g
     to_level = {v: v for v in g.vertices}
-    prev_q = modularity(level_graph, level_p)
 
     while True:
         level_p, _ = local_moving_pass(level_graph, level_p, epsilon, _order_rng=rng)
-        q = modularity(level_graph, level_p)
-        assert q >= prev_q - 1e-12, "modularity decreased across a pass"
-        prev_q = q
-
-        comp = compress(level_graph, level_p)
-        if comp.num_vertices == level_graph.num_vertices:
+        if level_p.num_communities == level_graph.num_vertices:
             break
-        to_level = {v: comp.parent_map[lv] for v, lv in to_level.items()}
-        level_graph = comp
-        level_p = Partition.singletons(comp)
+        to_level = {v: level_p.community_of(lv) for v, lv in to_level.items()}
+        level_graph = compress(level_graph, level_p)
+        level_p = Partition.singletons(level_graph)
 
     return _unfold(g, to_level, level_p)
 

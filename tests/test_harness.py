@@ -83,14 +83,6 @@ class TestRunBenchmark:
         b = run_benchmark(scenario.snapshots, RunConfig())
         assert strip(a) == strip(b)
 
-    def test_jobs_parallel_pipelines_match_serial(self, scenario):
-        def strip(rows):
-            return [(r.snapshot_index, r.algorithm, r.modularity, r.nmi, r.ari)
-                    for r in rows]
-        serial = run_benchmark(scenario.snapshots, RunConfig(jobs=1))
-        threaded = run_benchmark(scenario.snapshots, RunConfig(jobs=2))
-        assert strip(serial) == strip(threaded)
-
     def test_dynamo_never_below_carried_forward_structure(self):
         # carrying the previous partition onto the next snapshot is the
         # do-nothing baseline; the incremental update must never score below it

@@ -262,6 +262,28 @@ class TestInitPlan:
         inter = intermediate_partition(apply_delta(g, d), p, plan, d)
         assert inter.members(inter.community_of(0)) == frozenset({0})
 
+    def test_edge_joining_added_and_removed_vertex(self):
+        # (0, 9) joins a removed and an added vertex: it is created, then dropped
+        # with vertex 0. Both endpoints are handled, in order: 0's neighborhood
+        # dissolves, and 9 re-seeds its heaviest neighbor 7, replacing the
+        # intra-community pair (7, 8) seeded by the change before it.
+        g, p = three_triangles_with_bridges()
+        d = GraphDelta(added_vertices=frozenset({9}), removed_vertices=frozenset({0}),
+                       edge_changes=(EdgeChange(9, 7, 1.5), EdgeChange(7, 8, 1.0),
+                                     EdgeChange(0, 9, 1.0)))
+        g2 = apply_delta(g, d)
+        assert not g2.has_edge(0, 9)
+        assert classify(g, p, d.edge_changes[2], d) is ChangeKind.VERTEX_DEL
+        plan = init(g2, g, p, d)
+        assert plan.dissolve == frozenset(p.community_of(v) for v in (0, 3, 6))
+        assert plan.pair_seeds == frozenset({frozenset({7, 9})})
+        inter = intermediate_partition(g2, p, plan, d)
+        assert inter.members(inter.community_of(9)) == frozenset({7, 9})
+        rebuilt = partition_rebuild_aggregates(g2, inter.assignment)
+        for c in inter.community_ids:
+            assert inter.alpha(c) == pytest.approx(rebuilt.alpha(c), abs=1e-9)
+            assert inter.beta(c) == pytest.approx(rebuilt.beta(c), abs=1e-9)
+
     def test_inconsistent_snapshots_rejected(self):
         g, p = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))

@@ -115,6 +115,26 @@ class TestCompress:
             assert modularity(comp, Partition.singletons(comp)) == pytest.approx(
                 modularity(g, p), abs=1e-9)
 
+    def test_result_is_weighted_graph_named_by_community_ids(self):
+        g = bridged(1.0)
+        p = partition_rebuild_aggregates(g, {0: 7, 1: 7, 2: 7, 3: 12, 4: 12, 5: 12})
+        comp = compress(g, p)
+        assert isinstance(comp, WeightedGraph)
+        assert sorted(comp.vertices) == sorted(p.community_ids) == [7, 12]
+        assert dict(comp.neighbors(7)) == {12: pytest.approx(1.0, abs=1e-12)}
+        assert comp.self_weight(7) == pytest.approx(6.0, abs=1e-12)
+        assert comp.strength(7) == pytest.approx(7.0, abs=1e-12)
+
+    def test_equality_tells_self_weights_apart(self):
+        g = bridged(1.0)
+        comp = compress(g, Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}]))
+        plain = WeightedGraph.from_edges([(0, 1, 1.0)])
+        assert dict(comp.neighbors(0)) == dict(plain.neighbors(0))
+        assert comp != plain
+        assert comp == compress(g, Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}]))
+        # zero self weights compare equal to none
+        assert compress(plain, Partition.singletons(plain)) == plain
+
     def test_double_compression_carries_alpha(self):
         g = bridged(1.0)
         p = Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}])
@@ -150,14 +170,26 @@ class TestLouvain:
 
     def test_monotone_from_initial(self):
         rng = random.Random(41)
+        cases = []
         for _ in range(30):
             g = random_graph(rng, rng.randint(3, 20), 0.4)
             if g.total_weight == 0:
                 continue
-            labels = {v: rng.randrange(3) for v in g.vertices}
+            cases.append((g, {v: rng.randrange(3) for v in g.vertices}))
+        # compressed graphs carry self weights, like louvain's upper levels
+        coarse = random.Random(42)
+        for g, _ in list(cases):
+            k = coarse.randint(2, max(2, g.num_vertices // 2))
+            blocks = partition_rebuild_aggregates(
+                g, {v: coarse.randrange(k) for v in g.vertices})
+            h = compress(g, blocks)
+            cases.append((h, {v: coarse.randrange(3) for v in h.vertices}))
+        for g, labels in cases:
             initial = partition_rebuild_aggregates(g, labels)
             out = louvain(g, initial=initial)
             assert modularity(g, out) >= modularity(g, initial) - 1e-12
+            assert modularity(g, out) == pytest.approx(
+                modularity_pairwise(g, out.assignment), abs=1e-9)
 
     def test_deterministic(self):
         rng = random.Random(43)
