@@ -18,7 +18,7 @@ class SelfLoopError(DynamoError):
 
 
 class NegativeWeightError(DynamoError):
-    """An edge weight was non-positive, or a decrease exceeded the stored weight."""
+    """An edge weight was non-positive or non-finite, or a decrease exceeded the stored weight."""
 
 
 class EmptyGraphError(DynamoError):

@@ -17,6 +17,7 @@ With ``m`` the total edge weight, modularity is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -55,10 +56,11 @@ class WeightedGraph:
         # Internal constructor: takes ownership of a symmetric adjacency dict.
         self._adj = adjacency
         self._self = self_weights or {}
-        self._strength = {u: _stable_sum(nbrs) for u, nbrs in adjacency.items()}
+        # fsum rounds once, so sums do not depend on dict insertion order
+        self._strength = {u: math.fsum(nbrs.values()) for u, nbrs in adjacency.items()}
         for u, s in self._self.items():
             self._strength[u] += s
-        self._m = 0.5 * _stable_sum(self._strength)
+        self._m = 0.5 * math.fsum(self._strength.values())
 
     @classmethod
     def empty(cls) -> "WeightedGraph":
@@ -74,15 +76,16 @@ class WeightedGraph:
 
         Repeated ``(u, v)`` pairs accumulate weight. Raises
         :class:`SelfLoopError` for ``u == v`` and :class:`NegativeWeightError`
-        for non-positive weights.
+        for non-positive or non-finite weights.
         """
         adj: dict[int, dict[int, float]] = {int(v): {} for v in vertices}
         for u, v, w in edges:
             u, v, w = int(u), int(v), float(w)
             if u == v:
                 raise SelfLoopError(f"self-loop on vertex {u}")
-            if w <= 0.0:
-                raise NegativeWeightError(f"edge ({u},{v}) has non-positive weight {w}")
+            if not 0.0 < w < math.inf:
+                raise NegativeWeightError(f"edge ({u},{v}) has non-positive or non-finite "
+                                          f"weight {w}")
             adj.setdefault(u, {})
             adj.setdefault(v, {})
             adj[u][v] = adj[u].get(v, 0.0) + w
@@ -433,14 +436,3 @@ def modularity(g, p: Partition) -> float:
     for c in p.community_ids:
         total += p.alpha(c) - p.beta(c) ** 2 / two_m
     return total / two_m
-
-
-def _stable_sum(values) -> float:
-    """Sum float values in deterministic (key-sorted) order.
-
-    ``values`` is a dict keyed by vertex id or an iterable; dict iteration
-    order depends on insertion history, so sort keys first.
-    """
-    if isinstance(values, dict):
-        return sum(values[k] for k in sorted(values))
-    return sum(values)

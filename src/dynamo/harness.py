@@ -3,19 +3,23 @@
 Snapshot 0 always gets full static detection. From snapshot 1 on, the
 ``louvain`` pipeline reruns static detection from scratch while the ``dynamo``
 pipeline updates incrementally from the previous partition, falling back to a
-full rerun whenever the refinement threshold fires. Wall-clock timing covers
-detection only (never I/O or metric computation) and averages over ``repeat``
-identical repetitions; similarity metrics for incremental rows are computed
-against the same-snapshot static partition, which serves as the reference.
+full rerun whenever the refinement threshold fires. A snapshot with zero total
+weight gets singletons in every pipeline and no modularity; ``dynamo`` resumes
+from those singletons. Wall-clock timing covers detection only (never I/O or
+metric computation) and averages over ``repeat`` identical repetitions;
+similarity metrics for incremental rows are computed against the same-snapshot
+static partition, which serves as the reference. The snapshot stream is folded
+one delta at a time, so a run holds two graphs however long the stream is.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Optional
 
-from .graph import Partition, modularity
+from .graph import GraphDelta, Partition, WeightedGraph, apply_delta, modularity
 from .incremental import dynamo_update, refine_check
 from .ingest import Snapshot, SnapshotReport
 from .louvain import DEFAULT_EPSILON, louvain
@@ -23,8 +27,8 @@ from .metrics import ari, nmi
 
 ALGORITHMS = ("louvain", "dynamo")
 
-#: optional per-result hook: (snapshot, algorithm, partition) -> None
-ResultHook = Callable[[Snapshot, str, Partition], None]
+#: optional per-result hook: (snapshot index, graph, algorithm, partition) -> None
+ResultHook = Callable[[int, WeightedGraph, str, Partition], None]
 
 
 @dataclass(frozen=True)
@@ -46,21 +50,16 @@ class RunConfig:
             raise ValueError("repeat must be at least 1")
 
 
-@dataclass
-class _PipelineResult:
-    partitions: list[Partition] = field(default_factory=list)
-    elapsed_ns: list[int] = field(default_factory=list)
-
-
 def run_benchmark(
-    snapshots: Sequence[Snapshot],
+    snapshots: Iterable[Snapshot],
     config: RunConfig = RunConfig(),
     on_result: Optional[ResultHook] = None,
 ) -> list[SnapshotReport]:
-    """Run the configured detectors over ``snapshots`` and build report rows."""
-    if not snapshots:
-        raise ValueError("no snapshots to process")
+    """Run the configured detectors over ``snapshots`` and build report rows.
 
+    The stream is consumed in one pass that holds only the current snapshot
+    graph and its predecessor; rows come back grouped by algorithm.
+    """
     pipelines = list(dict.fromkeys(config.algorithms))
     need_baseline = "dynamo" in pipelines and (
         "louvain" in pipelines or config.with_baseline)
@@ -69,69 +68,63 @@ def run_benchmark(
     if need_baseline and "louvain" not in to_run:
         to_run.append("louvain")
 
-    results = {name: _run_pipeline(name, snapshots, config) for name in to_run}
+    rows: dict[str, list[SnapshotReport]] = {name: [] for name in pipelines}
+    partitions: dict[str, Partition] = {}  # each pipeline's latest result
+    graph = WeightedGraph.empty()
+    for snap in snapshots:
+        prev_graph, graph = graph, apply_delta(graph, snap.delta)
+        elapsed: dict[str, int] = {}
+        scored = graph.total_weight > 0.0
+        for name in to_run:
+            if not scored:  # Q is undefined on a zero-weight graph: unscored singletons
+                step = partial(Partition.singletons, graph)
+            elif name == "dynamo" and name in partitions:
+                step = _incremental_step(graph, prev_graph, partitions[name], snap.delta, config)
+            else:
+                step = _static_step(graph, config)
+            partitions[name], elapsed[name] = _timed(step, config.repeat)
 
-    reports: list[SnapshotReport] = []
-    for name in pipelines:
-        result = results[name]
-        baseline = results["louvain"].partitions if (name == "dynamo" and need_baseline) else None
-        cumulative = 0
-        for snap, partition, elapsed in zip(snapshots, result.partitions, result.elapsed_ns):
-            cumulative += elapsed
+        for name in pipelines:
+            partition = partitions[name]
             score_nmi = score_ari = None
-            if baseline is not None:
-                reference = baseline[snap.index]
-                score_nmi = nmi(reference, partition)
-                score_ari = ari(reference, partition)
-            reports.append(SnapshotReport(
+            if name == "dynamo" and need_baseline:
+                score_nmi = nmi(partitions["louvain"], partition)
+                score_ari = ari(partitions["louvain"], partition)
+            cumulative = rows[name][-1].cumulative_elapsed_ns if rows[name] else 0
+            rows[name].append(SnapshotReport(
                 snapshot_index=snap.index,
                 algorithm=name,
-                modularity=modularity(snap.graph, partition),
+                modularity=modularity(graph, partition) if scored else None,
                 nmi=score_nmi,
                 ari=score_ari,
-                elapsed_ns=elapsed,
-                cumulative_elapsed_ns=cumulative,
-                num_vertices=snap.graph.num_vertices,
-                num_edges=snap.graph.num_edges,
+                elapsed_ns=elapsed[name],
+                cumulative_elapsed_ns=cumulative + elapsed[name],
+                num_vertices=graph.num_vertices,
+                num_edges=graph.num_edges,
                 num_communities=partition.num_communities,
             ))
             if on_result is not None:
-                on_result(snap, name, partition)
-    return reports
+                on_result(snap.index, graph, name, partition)
+    if not partitions:
+        raise ValueError("no snapshots to process")
+    return [row for name in pipelines for row in rows[name]]
 
 
-def _run_pipeline(name: str, snapshots: Sequence[Snapshot],
-                  config: RunConfig) -> _PipelineResult:
-    result = _PipelineResult()
-    previous: Optional[Partition] = None
-    for k, snap in enumerate(snapshots):
-        if name == "louvain" or k == 0:
-            step = _static_step(snap, config)
-        else:
-            step = _incremental_step(snapshots[k - 1], snap, previous, config)
-        partition, elapsed = _timed(step, config.repeat)
-        result.partitions.append(partition)
-        result.elapsed_ns.append(elapsed)
-        previous = partition
-    return result
-
-
-def _static_step(snap: Snapshot, config: RunConfig) -> Callable[[], Partition]:
+def _static_step(graph: WeightedGraph, config: RunConfig) -> Callable[[], Partition]:
     def run() -> Partition:
-        return louvain(snap.graph, epsilon=config.epsilon, order_seed=config.seed)
+        return louvain(graph, epsilon=config.epsilon, order_seed=config.seed)
     return run
 
 
-def _incremental_step(prev_snap: Snapshot, snap: Snapshot, previous: Partition,
-                      config: RunConfig) -> Callable[[], Partition]:
+def _incremental_step(graph: WeightedGraph, prev_graph: WeightedGraph, previous: Partition,
+                      delta: GraphDelta, config: RunConfig) -> Callable[[], Partition]:
     def run() -> Partition:
         partition = dynamo_update(
-            snap.graph, prev_snap.graph, previous, snap.delta,
+            graph, prev_graph, previous, delta,
             epsilon=config.epsilon, order_seed=config.seed,
         )
-        if refine_check(modularity(snap.graph, partition), config.refine_threshold):
-            partition = louvain(snap.graph, epsilon=config.epsilon,
-                                order_seed=config.seed)
+        if refine_check(modularity(graph, partition), config.refine_threshold):
+            partition = louvain(graph, epsilon=config.epsilon, order_seed=config.seed)
         return partition
     return run
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -29,7 +30,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
-from .graph import EdgeChange, GraphDelta, WeightedGraph, apply_delta
+from .graph import EdgeChange, GraphDelta
 
 PathLike = Union[str, Path]
 
@@ -45,18 +46,15 @@ class EdgeEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A snapshot graph together with the delta that produced it.
+    """One step of a snapshot stream.
 
     ``delta`` transforms the previous snapshot (the empty graph for index 0)
-    into ``graph`` under :func:`dynamo.graph.apply_delta`.
+    into this one under :func:`dynamo.graph.apply_delta`; a stream is folded
+    one delta at a time, so no snapshot graph is stored here.
     """
 
     index: int
-    graph: WeightedGraph
     delta: GraphDelta
-
-
-SnapshotSeries = list[Snapshot]
 
 
 def parse_edge_events(path: PathLike) -> list[EdgeEvent]:
@@ -77,6 +75,8 @@ def parse_edge_events(path: PathLike) -> list[EdgeEvent]:
                                    float(fields[2]), int(fields[3]))
                 else:
                     raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+                if not math.isfinite(w):
+                    raise ValueError(f"non-finite weight {w}")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if u == v:
@@ -92,7 +92,7 @@ def slice_snapshots(
     interval: int,
     t0: Optional[int] = None,
 ) -> list[Snapshot]:
-    """Cut a cumulative snapshot sequence out of an event stream.
+    """Cut a cumulative snapshot sequence out of an event stream, as deltas.
 
     Snapshot ``k`` accumulates every event with timestamp below
     ``t0 + (k+1) * interval`` (intervals are half-open); ``t0`` defaults to the
@@ -115,7 +115,6 @@ def slice_snapshots(
         buckets[k].append(e)
 
     snapshots: list[Snapshot] = []
-    graph = WeightedGraph.empty()
     known: set[int] = set()
     for k, bucket in enumerate(buckets):
         added: list[int] = []
@@ -128,9 +127,7 @@ def slice_snapshots(
             key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
             weight_sums[key] = weight_sums.get(key, 0.0) + e.weight
         changes = tuple(EdgeChange(u, v, w) for (u, v), w in weight_sums.items())
-        delta = GraphDelta(frozenset(added), frozenset(), changes)
-        graph = apply_delta(graph, delta)
-        snapshots.append(Snapshot(k, graph, delta))
+        snapshots.append(Snapshot(k, GraphDelta(frozenset(added), frozenset(), changes)))
     return snapshots
 
 
@@ -154,6 +151,8 @@ def parse_delta_file(path: PathLike) -> GraphDelta:
                     dw = float(fields[3])
                     if dw == 0.0:
                         raise ValueError("zero weight change")
+                    if not math.isfinite(dw):
+                        raise ValueError(f"non-finite weight change {dw}")
                     changes.append(EdgeChange(int(fields[1]), int(fields[2]), dw))
                 else:
                     raise ValueError(f"unrecognized record {fields[0]!r}")
@@ -180,21 +179,16 @@ def write_delta_file(delta: GraphDelta, path: PathLike) -> None:
 
 
 def load_delta_dir(directory: PathLike) -> list[Snapshot]:
-    """Assemble a snapshot sequence from a directory of ``*.delta`` files.
+    """Read a snapshot sequence from a directory of ``*.delta`` files.
 
     Files are consumed in lexicographic name order; the first delta builds
-    snapshot 0 from the empty graph.
+    snapshot 0 from the empty graph. Every file is parsed here, but a delta
+    that does not apply to its predecessor only fails when a run reaches it.
     """
     paths = sorted(Path(directory).glob("*.delta"))
     if not paths:
         raise EmptyStreamError(f"no .delta files in {directory}")
-    snapshots: list[Snapshot] = []
-    graph = WeightedGraph.empty()
-    for k, path in enumerate(paths):
-        delta = parse_delta_file(path)
-        graph = apply_delta(graph, delta)
-        snapshots.append(Snapshot(k, graph, delta))
-    return snapshots
+    return [Snapshot(k, parse_delta_file(path)) for k, path in enumerate(paths)]
 
 
 def read_partition_file(path: PathLike) -> dict[int, int]:
@@ -226,7 +220,7 @@ class SnapshotReport:
 
     snapshot_index: int
     algorithm: str
-    modularity: float
+    modularity: Optional[float]  # None for a snapshot with zero total weight
     nmi: Optional[float]
     ari: Optional[float]
     elapsed_ns: int
@@ -251,7 +245,8 @@ def format_reports(reports: Iterable[SnapshotReport], fmt: str = "csv") -> str:
         writer.writerow(_REPORT_HEADER)
         for r in reports:
             writer.writerow([
-                r.snapshot_index, r.algorithm, repr(r.modularity),
+                r.snapshot_index, r.algorithm,
+                "" if r.modularity is None else repr(r.modularity),
                 "" if r.nmi is None else repr(r.nmi),
                 "" if r.ari is None else repr(r.ari),
                 r.elapsed_ns, r.cumulative_elapsed_ns,
@@ -279,7 +274,7 @@ def read_reports(path: PathLike, fmt: str = "csv") -> list[SnapshotReport]:
             reports.append(SnapshotReport(
                 snapshot_index=int(row[0]),
                 algorithm=row[1],
-                modularity=float(row[2]),
+                modularity=None if row[2] == "" else float(row[2]),
                 nmi=None if row[3] == "" else float(row[3]),
                 ari=None if row[4] == "" else float(row[4]),
                 elapsed_ns=int(row[5]),

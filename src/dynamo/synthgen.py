@@ -84,6 +84,7 @@ class GenConfig:
 class GeneratedScenario:
     """A generated snapshot sequence plus its serialized file forms.
 
+    ``graphs[k]`` is snapshot k's graph, the fold of the first k+1 deltas.
     ``labeled_changes[k]`` holds every element of snapshot k's delta with the
     change kind it was drawn as (empty for snapshot 0, which has no
     predecessor to classify against). The event text carries only additions
@@ -93,6 +94,7 @@ class GeneratedScenario:
 
     config: GenConfig
     snapshots: list[Snapshot]
+    graphs: list[WeightedGraph]
     ground_truth: list[Partition]
     labeled_changes: list[list[tuple[Change, ChangeKind]]]
     event_text: str
@@ -137,7 +139,8 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
     if graph.total_weight <= 0.0:
         raise InfeasibleChurnError("initial snapshot has no edges")
 
-    snapshots = [Snapshot(0, graph, delta0)]
+    snapshots = [Snapshot(0, delta0)]
+    graphs = [graph]
     ground_truth = [Partition.from_assignment(graph, membership)]
     labeled: list[list[tuple[Change, ChangeKind]]] = [[]]
     event_lines = [f"{u}\t{v}\t{w!r}\t0" for (u, v), w in base_edges.items()]
@@ -147,7 +150,8 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
         for v in delta.removed_vertices:
             del membership[v]
         graph = apply_delta(graph, delta)
-        snapshots.append(Snapshot(k, graph, delta))
+        snapshots.append(Snapshot(k, delta))
+        graphs.append(graph)
         ground_truth.append(Partition.from_assignment(graph, membership))
         labeled.append(labels)
         for u, v, dw in delta.edge_changes:
@@ -161,6 +165,7 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
     return GeneratedScenario(
         config=cfg,
         snapshots=snapshots,
+        graphs=graphs,
         ground_truth=ground_truth,
         labeled_changes=labeled,
         event_text="".join(line + "\n" for line in event_lines),

@@ -13,7 +13,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from dynamo import GraphDelta, EdgeChange, WeightedGraph
+from dynamo import GraphDelta, EdgeChange, WeightedGraph, apply_delta
 
 
 def modularity_pairwise(g, labels: Mapping[int, int]) -> float:
@@ -31,6 +31,16 @@ def modularity_pairwise(g, labels: Mapping[int, int]) -> float:
     lab = np.array([labels[v] for v in verts])
     same = lab[:, None] == lab[None, :]
     return float(((a - np.outer(k, k) / two_m) * same).sum() / two_m)
+
+
+def snapshot_graphs(snapshots) -> list[WeightedGraph]:
+    """Every snapshot's graph, folded from the empty graph one delta at a time."""
+    graphs = []
+    graph = WeightedGraph.empty()
+    for snap in snapshots:
+        graph = apply_delta(graph, snap.delta)
+        graphs.append(graph)
+    return graphs
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

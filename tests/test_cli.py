@@ -1,10 +1,12 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from dynamo import read_reports
 from dynamo.cli import main
+from dynamo.synthgen import Churn, GenConfig, generate
 
 TRIANGLE_EVENTS = "0\t1\t0\n1\t2\t0\n0\t2\t0\n3\t4\t0\n4\t5\t0\n3\t5\t0\n"
 
@@ -192,6 +194,68 @@ class TestRun:
                      "--output", str(out), "--format", "json"]) == 0
         rows = read_reports(out, fmt="json")
         assert rows
+
+
+    def test_edgeless_snapshot_is_unscored_and_dynamo_resumes(self, tmp_path):
+        deltas = tmp_path / "deltas"
+        deltas.mkdir()
+        (deltas / "snapshot_0000.delta").write_text(
+            "AV 0\nAV 1\nAV 2\nAV 3\nEW 0 1 1.0\nEW 2 3 1.0\n")
+        (deltas / "snapshot_0001.delta").write_text("EW 0 1 -1.0\nEW 2 3 -1.0\n")
+        (deltas / "snapshot_0002.delta").write_text("EW 0 1 2.0\nEW 2 3 1.0\n")
+        out = tmp_path / "r.csv"
+        assert main(["run", "--deltas-dir", str(deltas), "--output", str(out)]) == 0
+        assert "1,dynamo,,1.0,1.0," in out.read_text()
+        rows = {(r.snapshot_index, r.algorithm): r for r in read_reports(out)}
+        assert len(rows) == 6
+        for name in ("louvain", "dynamo"):
+            assert rows[(0, name)].modularity == pytest.approx(0.5)
+            assert rows[(1, name)].modularity is None
+            assert (rows[(1, name)].num_edges, rows[(1, name)].num_communities) == (0, 4)
+            assert rows[(2, name)].modularity == pytest.approx(4.0 / 9.0)
+            assert rows[(2, name)].num_communities == 2
+
+    def test_vertex_only_first_snapshot_is_unscored(self, tmp_path):
+        deltas = tmp_path / "deltas"
+        deltas.mkdir()
+        (deltas / "snapshot_0000.delta").write_text("AV 0\nAV 1\nAV 2\nAV 3\n")
+        (deltas / "snapshot_0001.delta").write_text("EW 0 1 1.0\nEW 2 3 1.0\n")
+        out = tmp_path / "r.json"
+        assert main(["run", "--deltas-dir", str(deltas), "--output", str(out),
+                     "--format", "json"]) == 0
+        assert '"modularity": null' in out.read_text()
+        rows = {(r.snapshot_index, r.algorithm): r for r in read_reports(out, fmt="json")}
+        for name in ("louvain", "dynamo"):
+            assert rows[(0, name)].modularity is None
+            assert rows[(0, name)].num_communities == 4
+            assert rows[(1, name)].modularity == pytest.approx(0.5)
+            assert rows[(1, name)].num_communities == 2
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_exits_one(self, tmp_path, capsys, weight):
+        events = tmp_path / "events.tsv"
+        events.write_text(f"0\t1\t1.0\t0\n0\t2\t{weight}\t0\n")
+        out = tmp_path / "r.csv"
+        assert main(["run", "--input", str(events), "--interval", "1",
+                     "--output", str(out)]) == 1
+        assert ":2: non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_peak_memory_does_not_grow_with_stream_length(self, tmp_path):
+        # a run holds the current snapshot graph and its predecessor only
+        peaks = {}
+        for n in (4, 32):
+            source = tmp_path / f"n{n}"
+            generate(GenConfig(seed=3, num_snapshots=n,
+                               churn=Churn(ccea=2, cced=2))).write(source)
+            tracemalloc.start()
+            try:
+                assert main(["run", "--deltas-dir", str(source / "deltas"),
+                             "--output", str(tmp_path / f"r{n}.csv")]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32] < 1.5 * peaks[4], peaks
 
 
 class TestEntrypoint:

@@ -44,6 +44,9 @@ class TestWeightedGraph:
             WeightedGraph.from_edges([(0, 1, 0.0)])
         with pytest.raises(NegativeWeightError):
             WeightedGraph.from_edges([(0, 1, -2.0)])
+        for w in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(NegativeWeightError):
+                WeightedGraph.from_edges([(0, 1, w)])
 
     def test_isolated_vertices(self):
         g = WeightedGraph.from_edges([(0, 1, 1.0)], vertices=[7])

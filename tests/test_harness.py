@@ -81,7 +81,8 @@ class TestRunBenchmark:
                      r.num_vertices, r.num_edges, r.num_communities) for r in rows]
         a = run_benchmark(scenario.snapshots, RunConfig())
         b = run_benchmark(scenario.snapshots, RunConfig())
-        assert strip(a) == strip(b)
+        c = run_benchmark(iter(scenario.snapshots), RunConfig())  # a one-shot stream
+        assert strip(a) == strip(b) == strip(c)
 
     def test_dynamo_never_below_carried_forward_structure(self):
         # carrying the previous partition onto the next snapshot is the
@@ -90,21 +91,21 @@ class TestRunBenchmark:
         partitions = {}
         reports = run_benchmark(
             scenario.snapshots, RunConfig(algorithms=("dynamo",)),
-            on_result=lambda snap, name, p: partitions.__setitem__(snap.index, p))
+            on_result=lambda k, graph, name, p: partitions.__setitem__(k, p))
         dynamo_rows = {r.snapshot_index: r for r in reports}
         for k in range(1, len(scenario.snapshots)):
             prev = partitions[k - 1]
-            snap = scenario.snapshots[k]
+            graph = scenario.graphs[k]
             fresh = max(prev.community_ids) + 1
             assignment = {}
-            for v in snap.graph.vertices:
+            for v in graph.vertices:
                 if v in prev.assignment:
                     assignment[v] = prev.assignment[v]
                 else:
                     assignment[v] = fresh
                     fresh += 1
-            carried = partition_rebuild_aggregates(snap.graph, assignment)
-            assert dynamo_rows[k].modularity >= modularity(snap.graph, carried) - 1e-9
+            carried = partition_rebuild_aggregates(graph, assignment)
+            assert dynamo_rows[k].modularity >= modularity(graph, carried) - 1e-9
 
     def test_refinement_threshold_forces_static_rerun(self, scenario):
         # with an impossible threshold every dynamo row equals the louvain row

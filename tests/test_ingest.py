@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from dynamo import (
@@ -10,7 +12,7 @@ from dynamo import (
     ParseError,
     SelfLoopError,
     SnapshotReport,
-    apply_delta,
+    WeightedGraph,
     parse_delta_file,
     parse_edge_events,
     read_partition_file,
@@ -21,6 +23,7 @@ from dynamo import (
     write_reports,
 )
 from dynamo.ingest import format_delta, format_reports, load_delta_dir
+from helpers import snapshot_graphs
 
 
 class TestParseEdgeEvents:
@@ -50,6 +53,10 @@ class TestParseEdgeEvents:
         path.write_text("0\t1\t-1.0\t5\n")
         with pytest.raises(NegativeWeightError):
             parse_edge_events(path)
+        for w in ("nan", "inf", "-inf"):
+            path.write_text(f"0\t1\t1.0\t4\n0\t1\t{w}\t5\n")
+            with pytest.raises(ParseError, match=":2: non-finite"):
+                parse_edge_events(path)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "events.tsv"
@@ -63,7 +70,7 @@ class TestSliceSnapshots:
         events = [EdgeEvent(0, 1, 1.0, 50), EdgeEvent(1, 2, 2.0, 50)]
         snaps = slice_snapshots(events, interval=10)
         assert len(snaps) == 1
-        assert snaps[0].graph.total_weight == 3.0
+        assert snapshot_graphs(snaps)[0].total_weight == 3.0
 
     def test_half_open_boundary(self):
         events = [EdgeEvent(0, 1, 1.0, 0), EdgeEvent(1, 2, 1.0, 10)]
@@ -75,16 +82,17 @@ class TestSliceSnapshots:
     def test_repeated_pairs_accumulate(self):
         events = [EdgeEvent(0, 1, 1.0, 0), EdgeEvent(1, 0, 1.0, 0)]
         snaps = slice_snapshots(events, interval=5)
-        assert snaps[0].graph.weight(0, 1) == 2.0
+        assert snapshot_graphs(snaps)[0].weight(0, 1) == 2.0
 
     def test_cumulative_union_law(self):
         events = [EdgeEvent(0, 1, 1.0, 0), EdgeEvent(1, 2, 1.0, 3),
                   EdgeEvent(2, 3, 0.5, 7), EdgeEvent(0, 3, 1.0, 11)]
         snaps = slice_snapshots(events, interval=4)
-        rebuilt = snaps[0].graph
-        for snap in snaps[1:]:
-            rebuilt = apply_delta(rebuilt, snap.delta)
-            assert rebuilt == snap.graph
+        graphs = snapshot_graphs(snaps)
+        for k, graph in enumerate(graphs):
+            seen = [(e.u, e.v, e.weight) for e in events if e.timestamp < 4 * (k + 1)]
+            assert graph == WeightedGraph.from_edges(seen)
+        assert graphs[-1] == WeightedGraph.from_edges((e.u, e.v, e.weight) for e in events)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyStreamError):
@@ -133,6 +141,10 @@ class TestDeltaFiles:
         path.write_text("EW 0 1 0.0\n")
         with pytest.raises(ParseError):
             parse_delta_file(path)
+        for dw in ("nan", "inf", "-inf"):
+            path.write_text(f"AV 0\nAV 2\nEW 0 2 {dw}\n")
+            with pytest.raises(ParseError, match=":3: non-finite"):
+                parse_delta_file(path)
 
     def test_round_trip(self, tmp_path):
         d = GraphDelta(frozenset({9}), frozenset({2}),
@@ -147,8 +159,9 @@ class TestDeltaFiles:
         (tmp_path / "snapshot_0001.delta").write_text("EW 0 2 2.0\n")
         snaps = load_delta_dir(tmp_path)
         assert len(snaps) == 2
-        assert snaps[0].graph.total_weight == 2.0
-        assert snaps[1].graph.weight(0, 2) == 2.0
+        graphs = snapshot_graphs(snaps)
+        assert graphs[0].total_weight == 2.0
+        assert graphs[1].weight(0, 2) == 2.0
 
     def test_load_empty_dir(self, tmp_path):
         with pytest.raises(EmptyStreamError):
@@ -171,6 +184,11 @@ def _report(i, algorithm="louvain", nmi=None, ari=None):
     )
 
 
+def _unscored(i):
+    """A zero-weight snapshot's row: it has no modularity."""
+    return replace(_report(i, "dynamo", nmi=1.0, ari=1.0), modularity=None)
+
+
 class TestReports:
     def test_empty_reports_header_only(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -186,15 +204,18 @@ class TestReports:
         assert line == "0,louvain,0.5,,,1000,2000,10,20,3"
 
     def test_csv_round_trip(self, tmp_path):
-        reports = [_report(0), _report(1, "dynamo", nmi=0.875, ari=1 / 3)]
+        reports = [_report(0), _report(1, "dynamo", nmi=0.875, ari=1 / 3), _unscored(2)]
         path = tmp_path / "r.csv"
         write_reports(reports, path)
+        assert path.read_text().splitlines()[3] == "2,dynamo,,1.0,1.0,1002,2002,10,20,3"
         assert read_reports(path) == reports
 
     def test_json_round_trip(self, tmp_path):
-        reports = [_report(0), _report(1, "dynamo", nmi=1.0, ari=0.1234567890123)]
+        reports = [_report(0), _report(1, "dynamo", nmi=1.0, ari=0.1234567890123),
+                   _unscored(2)]
         path = tmp_path / "r.json"
         write_reports(reports, path, fmt="json")
+        assert '"modularity": null' in path.read_text()
         assert read_reports(path, fmt="json") == reports
 
     def test_bit_stable(self):

@@ -11,6 +11,7 @@ from dynamo import (
     slice_snapshots,
 )
 from dynamo.synthgen import Churn, GenConfig, generate
+from helpers import snapshot_graphs
 
 SMALL = GenConfig(seed=5, num_communities=3, community_size=8, p_in=0.5, p_out=0.03,
                   num_snapshots=5,
@@ -38,10 +39,10 @@ class TestGenerate:
         cfg = GenConfig(seed=1, num_communities=2, community_size=6, p_in=0.6,
                         p_out=0.02, num_snapshots=4, churn=Churn())
         scenario = generate(cfg)
-        g0 = scenario.snapshots[0].graph
-        for snap in scenario.snapshots[1:]:
+        g0 = scenario.graphs[0]
+        for snap, graph in zip(scenario.snapshots[1:], scenario.graphs[1:]):
             assert snap.delta.is_empty()
-            assert snap.graph == g0
+            assert graph == g0
 
     def test_deterministic_in_seed(self):
         a = generate(SMALL)
@@ -60,14 +61,15 @@ class TestGenerate:
         scenario = generate(SMALL)
         from dynamo import WeightedGraph
         graph = WeightedGraph.empty()
-        for snap in scenario.snapshots:
+        assert len(scenario.graphs) == len(scenario.snapshots)
+        for snap, expected in zip(scenario.snapshots, scenario.graphs):
             graph = apply_delta(graph, snap.delta)
-            assert graph == snap.graph
+            assert graph == expected
 
     def test_labels_agree_with_classify(self):
         scenario = generate(SMALL)
         for k in range(1, len(scenario.snapshots)):
-            g_prev = scenario.snapshots[k - 1].graph
+            g_prev = scenario.graphs[k - 1]
             truth_prev = scenario.ground_truth[k - 1]
             delta = scenario.snapshots[k].delta
             for change, kind in scenario.labeled_changes[k]:
@@ -75,14 +77,14 @@ class TestGenerate:
 
     def test_ground_truth_covers_graphs(self):
         scenario = generate(SMALL)
-        for snap, truth in zip(scenario.snapshots, scenario.ground_truth):
-            assert set(truth.assignment) == set(snap.graph.vertices)
+        for graph, truth in zip(scenario.graphs, scenario.ground_truth):
+            assert set(truth.assignment) == set(graph.vertices)
 
     def test_louvain_recovers_planted_blocks(self):
         cfg = GenConfig(seed=3, num_communities=4, community_size=30,
                         p_in=0.3, p_out=0.01, num_snapshots=1, churn=Churn())
         scenario = generate(cfg)
-        detected = louvain(scenario.snapshots[0].graph)
+        detected = louvain(scenario.graphs[0])
         assert nmi(scenario.ground_truth[0], detected) >= 0.9
 
     def test_infeasible_churn_reported(self):
@@ -102,8 +104,8 @@ class TestGenerate:
         events = parse_edge_events(tmp_path / "events.tsv")
         sliced = slice_snapshots(events, interval=1, t0=0)
         assert len(sliced) == len(scenario.snapshots)
+        assert snapshot_graphs(sliced) == scenario.graphs
         for ours, theirs in zip(scenario.snapshots, sliced):
-            assert ours.graph == theirs.graph
             assert ours.delta == theirs.delta
 
     def test_written_delta_files_round_trip(self, tmp_path):
