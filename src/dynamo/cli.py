@@ -16,6 +16,7 @@ from .errors import DynamoError, InfeasibleChurnError, VertexSetMismatchError
 from .graph import WeightedGraph
 from .harness import ALGORITHMS, RunConfig, run_benchmark
 from .ingest import (
+    format_partition,
     format_reports,
     load_delta_dir,
     parse_edge_events,
@@ -131,17 +132,14 @@ def _cmd_run(args) -> int:
         raise _UsageError("--interval must be positive")
 
     algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-    try:
-        config = RunConfig(
-            algorithms=algorithms,
-            epsilon=args.epsilon,
-            refine_threshold=args.refine_threshold,
-            seed=args.seed,
-            repeat=args.repeat,
-            with_baseline=args.with_baseline,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    config = RunConfig(
+        algorithms=algorithms,
+        epsilon=args.epsilon,
+        refine_threshold=args.refine_threshold,
+        seed=args.seed,
+        repeat=args.repeat,
+        with_baseline=args.with_baseline,
+    )
 
     if args.input:
         events = parse_edge_events(args.input)
@@ -162,8 +160,7 @@ def _cmd_detect(args) -> int:
     graph = WeightedGraph.from_edges((e.u, e.v, e.weight) for e in events)
     partition = louvain(graph, epsilon=args.epsilon, order_seed=args.seed)
     if args.output == "-":
-        for v in sorted(partition.assignment):
-            sys.stdout.write(f"{v}\t{partition.assignment[v]}\n")
+        sys.stdout.write(format_partition(partition))
     else:
         write_partition_file(partition, args.output)
     return 0

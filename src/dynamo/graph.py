@@ -201,8 +201,9 @@ class GraphDelta:
         if overlap:
             raise ValueError(f"vertices both added and removed: {sorted(overlap)}")
         for ec in self.edge_changes:
-            if ec.delta_w == 0.0:
-                raise ValueError(f"zero-weight edge change on ({ec.u},{ec.v})")
+            if ec.delta_w == 0.0 or not math.isfinite(ec.delta_w):
+                raise ValueError(f"zero or non-finite edge change {ec.delta_w} "
+                                 f"on ({ec.u},{ec.v})")
 
     @classmethod
     def empty(cls) -> "GraphDelta":

@@ -160,7 +160,6 @@ def init(
 
     dissolve: set[int] = set()
     pair_of: dict[int, frozenset[int]] = {}
-    cross_cache: dict[tuple[int, int], float] = {}
 
     def seed_pair(i: int, j: int) -> None:
         for old in (pair_of.get(i), pair_of.get(j)):
@@ -213,13 +212,10 @@ def init(
         elif kind is ChangeKind.ICEA_WI:
             dissolve.add(p_t.community_of(u))
             seed_pair(u, v)
-        elif kind is ChangeKind.CCEA_WI:
-            c_u = p_t.community_of(u)
-            c_v = p_t.community_of(v)
-            if _merge_improves(g_t, p_t, c_u, c_v, dw, cross_cache):
-                dissolve.add(c_u)
-                dissolve.add(c_v)
-                seed_pair(u, v)
+        elif kind is ChangeKind.CCEA_WI and dw > ccea_merge_threshold(g_t, p_t, u, v):
+            dissolve.add(p_t.community_of(u))
+            dissolve.add(p_t.community_of(v))
+            seed_pair(u, v)
         # CCED_WD: cross-community decreases strengthen the structure; no entries
 
     pairs = frozenset(pair_of.values())
@@ -329,33 +325,6 @@ def refine_check(q_current: float, q_threshold: float) -> bool:
     current snapshot. A threshold of -1 (or lower) never fires.
     """
     return q_current < q_threshold
-
-
-def _merge_improves(g_t: WeightedGraph, p_t: Partition, c_u: int, c_v: int,
-                    dw: float, cache: Optional[dict] = None) -> bool:
-    """Merge test for a cross-community increase of ``dw``.
-
-    The merge condition is equivalent to ``cross > x*`` where ``cross`` is the
-    existing inter-community weight and ``x*`` depends only on community
-    aggregates. ``0 <= cross <= min(beta_u, beta_v)`` bounds decide without a
-    scan when possible; otherwise the cross weight is computed once per
-    community pair and batch (``cache``).
-    """
-    m = g_t.total_weight
-    beta_u = p_t.beta(c_u)
-    beta_v = p_t.beta(c_v)
-    x_star = (beta_u * beta_v - dw * dw - (2.0 * m - beta_u - beta_v) * dw) / (2.0 * (dw + m))
-    if x_star < 0.0:
-        return True
-    if x_star >= min(beta_u, beta_v):
-        return False
-    key = (c_u, c_v) if c_u < c_v else (c_v, c_u)
-    cross = None if cache is None else cache.get(key)
-    if cross is None:
-        cross = _cross_weight(g_t, p_t.members(c_u), p_t.members(c_v))
-        if cache is not None:
-            cache[key] = cross
-    return cross > x_star
 
 
 def _cross_weight(g, side_a: frozenset[int], side_b: frozenset[int]) -> float:

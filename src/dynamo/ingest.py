@@ -208,10 +208,14 @@ def read_partition_file(path: PathLike) -> dict[int, int]:
     return assignment
 
 
-def write_partition_file(assignment, path: PathLike) -> None:
+def format_partition(assignment) -> str:
+    """Serialize a partition (or a vertex-to-community mapping), sorted by vertex."""
     assignment = getattr(assignment, "assignment", assignment)
-    lines = [f"{v}\t{assignment[v]}\n" for v in sorted(assignment)]
-    Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
+    return "".join(f"{v}\t{assignment[v]}\n" for v in sorted(assignment))
+
+
+def write_partition_file(assignment, path: PathLike) -> None:
+    Path(path).write_text(format_partition(assignment), encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .graph import (
     apply_delta,
 )
 from .incremental import ChangeKind
-from .ingest import Snapshot, format_delta
+from .ingest import Snapshot, format_delta, format_partition
 
 _MAX_DRAWS = 200  # resampling cap before a churn request is declared infeasible
 
@@ -158,10 +158,6 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
             if dw > 0.0:
                 event_lines.append(f"{u}\t{v}\t{dw!r}\t{k}")
 
-    truth_texts = [
-        "".join(f"{v}\t{p.assignment[v]}\n" for v in sorted(p.assignment))
-        for p in ground_truth
-    ]
     return GeneratedScenario(
         config=cfg,
         snapshots=snapshots,
@@ -170,7 +166,7 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
         labeled_changes=labeled,
         event_text="".join(line + "\n" for line in event_lines),
         delta_texts=[format_delta(s.delta) for s in snapshots],
-        truth_texts=truth_texts,
+        truth_texts=[format_partition(p) for p in ground_truth],
     )
 
 

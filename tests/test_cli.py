@@ -49,6 +49,12 @@ class TestDetect:
         assert main(["detect", "--input", str(event_file), "--output", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_stdout_matches_output_file(self, event_file, tmp_path, capsys):
+        out = tmp_path / "p.tsv"
+        assert main(["detect", "--input", str(event_file), "--output", str(out)]) == 0
+        assert main(["detect", "--input", str(event_file)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
 
 class TestMetrics:
     def test_identical_files(self, tmp_path, capsys):
@@ -175,12 +181,18 @@ class TestRun:
                           r.ari, r.num_communities) for r in rows])
         assert outs[0] == outs[1]
 
-    def test_config_errors_exit_two(self, event_file, tmp_path):
+    def test_config_errors_exit_two(self, event_file, tmp_path, capsys):
         assert main(["run", "--input", str(event_file)]) == 2  # missing interval
         assert main(["run", "--input", str(event_file), "--interval", "0"]) == 2
+        assert main(["run"]) == 2  # no input at all
+        capsys.readouterr()
+        # RunConfig's own checks surface as usage errors too
         assert main(["run", "--input", str(event_file), "--interval", "5",
                      "--algorithms", "bogus"]) == 2
-        assert main(["run"]) == 2  # no input at all
+        assert capsys.readouterr().err.startswith("error: unknown algorithms")
+        assert main(["run", "--input", str(event_file), "--interval", "5",
+                     "--repeat", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: repeat must be at least 1")
 
     def test_stdout_output(self, event_file, capsys):
         assert main(["run", "--input", str(event_file), "--interval", "10",

@@ -130,6 +130,11 @@ class TestApplyDelta:
         with pytest.raises(ValueError):
             GraphDelta(added_vertices=frozenset({3}), removed_vertices=frozenset({3}))
 
+    @pytest.mark.parametrize("dw", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_zero_or_non_finite_change_rejected(self, dw):
+        with pytest.raises(ValueError):
+            GraphDelta(edge_changes=(EdgeChange(0, 2, dw),))
+
 
 class TestDiff:
     def test_identity(self):

@@ -210,6 +210,41 @@ class TestInitPlan:
         assert plan.dissolve == frozenset(p.community_ids)
         assert plan.pair_seeds == frozenset({frozenset({2, 3})})
 
+    def test_ccea_merge_decision_against_brute_force(self):
+        # init merges iff the merged labeling beats the unchanged one after the
+        # change; graphs are denser inside the two labels, so both outcomes occur
+        rng = random.Random(83)
+        checked = merges = 0
+        while checked < 200:
+            n = rng.randint(4, 10)
+            labels = {v: rng.randint(0, 1) for v in range(n)}
+            g = WeightedGraph.from_edges(
+                [(u, v, rng.uniform(0.5, 2.0)) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < (0.7 if labels[u] == labels[v] else 0.15)],
+                vertices=range(n))
+            if g.total_weight == 0 or len(set(labels.values())) < 2:
+                continue
+            p = partition_rebuild_aggregates(g, labels)
+            i, j = rng.sample(range(n), 2)
+            if labels[i] == labels[j]:
+                continue
+            dw = rng.uniform(0.01, 1.0) * g.total_weight
+            d = GraphDelta(edge_changes=(EdgeChange(i, j, dw),))
+            g2 = apply_delta(g, d)
+            q_unchanged = modularity_pairwise(g2, labels)
+            q_merged = modularity_pairwise(g2, {v: 0 for v in g.vertices})
+            if abs(q_merged - q_unchanged) < 1e-9:
+                continue
+            plan = init(g2, g, p, d)
+            if q_merged > q_unchanged:
+                assert plan.dissolve == frozenset(p.community_ids)
+                assert plan.pair_seeds == frozenset({frozenset({i, j})})
+                merges += 1
+            else:
+                assert plan.is_empty()
+            checked += 1
+        assert 0 < merges < checked
+
     def test_cced_no_entries(self):
         g, p = three_triangles_with_bridges()
         d = GraphDelta(edge_changes=(EdgeChange(0, 3, -0.2),))

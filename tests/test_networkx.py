@@ -1,0 +1,52 @@
+"""Differential test: our modularity against networkx on 5k-vertex graphs."""
+
+import pytest
+
+from dynamo import Partition, modularity
+from dynamo.louvain import compress, louvain
+from dynamo.synthgen import GenConfig, generate
+
+nx = pytest.importorskip("networkx")
+
+PLANTED_5K = GenConfig(seed=1, num_communities=20, community_size=250, p_in=0.06,
+                       p_out=1e-4, num_snapshots=3)
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return generate(PLANTED_5K)
+
+
+def nx_graph(g):
+    """networkx copy of ``g``; a self weight ``s`` becomes a self-loop of weight s/2.
+
+    The self weight follows the ordered-pair convention: it adds ``s`` to the
+    strength and ``s/2`` to the total weight, as a networkx self-loop of
+    weight ``s/2`` does.
+    """
+    out = nx.Graph()
+    out.add_nodes_from(g.vertices)
+    out.add_weighted_edges_from(g.edges())
+    out.add_weighted_edges_from((v, v, g.self_weight(v) / 2) for v in g.vertices
+                                if g.self_weight(v))
+    return out
+
+
+def assert_same_q(g, p):
+    expected = nx.community.modularity(nx_graph(g), p.as_sets(), weight="weight")
+    assert modularity(g, p) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_planted_snapshots_truth_and_louvain(scenario, k):
+    g = scenario.graphs[k]
+    assert_same_q(g, scenario.ground_truth[k])
+    assert_same_q(g, louvain(g))
+
+
+def test_compressed_level_graph_self_weights(scenario):
+    level = compress(scenario.graphs[0], scenario.ground_truth[0])
+    assert any(level.self_weight(v) for v in level.vertices)
+    assert_same_q(level, Partition.singletons(level))
+    pairs = {v: i // 2 for i, v in enumerate(sorted(level.vertices))}
+    assert_same_q(level, Partition.from_assignment(level, pairs))

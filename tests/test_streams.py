@@ -1,0 +1,151 @@
+"""Stateful property test: random delta streams through the benchmark harness.
+
+Hypothesis grows a snapshot stream one delta at a time. After every step the
+whole stream so far runs through :func:`run_benchmark` with both pipelines, and
+every partition it yields is checked against independent oracles: rebuilt
+aggregates and the pairwise modularity of ``helpers``. An invalid delta must
+fail with a typed :class:`DynamoError` and is then dropped from the stream.
+"""
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from dynamo import (
+    DynamoError,
+    EdgeChange,
+    GraphDelta,
+    RunConfig,
+    WeightedGraph,
+    apply_delta,
+    partition_rebuild_aggregates,
+    run_benchmark,
+)
+from dynamo.ingest import Snapshot
+from helpers import modularity_pairwise
+
+WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.5])
+
+
+class DeltaStream(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.deltas: list[GraphDelta] = []
+        self.graph = WeightedGraph.empty()  # the fold of ``deltas``
+        self.next_id = 0
+        self.expected_q: dict = {}  # (snapshot, algorithm) -> pairwise Q or None
+        self.latest: dict = {}  # algorithm -> its partition of the last snapshot run
+
+    def push(self, delta: GraphDelta) -> None:
+        self.graph = apply_delta(self.graph, delta)
+        self.deltas.append(delta)
+
+    def run(self, deltas: list[GraphDelta]) -> list:
+        return run_benchmark([Snapshot(k, d) for k, d in enumerate(deltas)], RunConfig(),
+                             on_result=self.check_partition)
+
+    def check_partition(self, index, graph, name, p) -> None:
+        assert set(p.assignment) == set(graph.vertices)
+        rebuilt = partition_rebuild_aggregates(graph, p.assignment)
+        assert set(p.community_ids) == set(rebuilt.community_ids)
+        for c in p.community_ids:
+            assert p.alpha(c) == pytest.approx(rebuilt.alpha(c), abs=1e-9)
+            assert p.beta(c) == pytest.approx(rebuilt.beta(c), abs=1e-9)
+        self.expected_q[index, name] = (
+            modularity_pairwise(graph, p.assignment) if graph.total_weight > 0 else None)
+        self.latest[name] = p
+
+    def vertices(self) -> list[int]:
+        return sorted(self.graph.vertices)
+
+    # -- valid deltas ---------------------------------------------------------
+
+    @rule(data=st.data(), count=st.integers(1, 3))
+    def add_vertices(self, data, count):
+        new = list(range(self.next_id, self.next_id + count))
+        self.next_id += count
+        old = self.vertices()
+        changes = []
+        for i, v in enumerate(new):
+            candidates = old + new[:i]
+            if not candidates:
+                continue
+            targets = data.draw(st.lists(st.sampled_from(candidates), max_size=3,
+                                         unique=True))
+            changes += [EdgeChange(v, t, data.draw(WEIGHTS)) for t in targets]
+        self.push(GraphDelta(added_vertices=frozenset(new), edge_changes=tuple(changes)))
+
+    @precondition(lambda self: self.graph.num_edges > 0)
+    @rule(data=st.data())
+    def decrease_edges(self, data):
+        edges = sorted((u, v) for u, v, _ in self.graph.edges())
+        # cross-community decreases shift the aggregates of communities that
+        # survive the update, but edges inside communities are far more common
+        communities = self.latest["dynamo"].assignment
+        cross = [(u, v) for u, v in edges if communities[u] != communities[v]]
+        if cross and data.draw(st.booleans()):
+            edges = cross
+        picked = data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3,
+                                    unique=True))
+        changes = []
+        for u, v in picked:
+            w = self.graph.weight(u, v)
+            changes.append(EdgeChange(u, v, data.draw(st.sampled_from([-w / 2, -w]))))
+        self.push(GraphDelta(edge_changes=tuple(changes)))
+
+    @precondition(lambda self: self.graph.num_vertices >= 2)
+    @rule(data=st.data(), dw=WEIGHTS)
+    def increase_edge(self, data, dw):
+        u, v = data.draw(st.lists(st.sampled_from(self.vertices()), min_size=2,
+                                  max_size=2, unique=True))
+        self.push(GraphDelta(edge_changes=(EdgeChange(u, v, dw),)))
+
+    @precondition(lambda self: self.graph.num_vertices > 0)
+    @rule(data=st.data())
+    def remove_vertex(self, data):
+        v = data.draw(st.sampled_from(self.vertices()))
+        self.push(GraphDelta(removed_vertices=frozenset({v})))
+
+    @rule()
+    def empty_delta(self):
+        self.push(GraphDelta.empty())
+
+    # -- invalid deltas -------------------------------------------------------
+
+    @rule(data=st.data(), kind=st.sampled_from(["unknown", "duplicate", "overdraw"]))
+    def invalid_delta(self, data, kind):
+        unknown = self.next_id + 1000
+        if kind == "duplicate" and self.graph.num_vertices > 0:
+            bad = GraphDelta(added_vertices=frozenset({data.draw(st.sampled_from(
+                self.vertices()))}))
+        elif kind == "overdraw" and self.graph.num_edges > 0:
+            u, v, w = data.draw(st.sampled_from(sorted(self.graph.edges())))
+            bad = GraphDelta(edge_changes=(EdgeChange(u, v, -2.0 * w),))
+        elif self.graph.num_vertices > 0:
+            bad = GraphDelta(edge_changes=(EdgeChange(self.vertices()[0], unknown, 1.0),))
+        else:
+            bad = GraphDelta(removed_vertices=frozenset({unknown}))
+        with pytest.raises(DynamoError):
+            self.run(self.deltas + [bad])
+
+    # -- the invariant --------------------------------------------------------
+
+    @invariant()
+    def pipelines_match_oracles(self):
+        if not self.deltas:
+            return
+        self.expected_q = {}
+        reports = self.run(self.deltas)
+        assert len(reports) == 2 * len(self.deltas)
+        for r in reports:
+            expected = self.expected_q[r.snapshot_index, r.algorithm]
+            if expected is None:
+                assert r.modularity is None
+            else:
+                assert r.modularity == pytest.approx(expected, abs=1e-9)
+
+
+DeltaStream.TestCase.settings = settings(
+    derandomize=True, database=None, deadline=None, max_examples=200,
+    stateful_step_count=10)
+TestDeltaStream = DeltaStream.TestCase
