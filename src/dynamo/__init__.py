@@ -32,7 +32,6 @@ from .graph import (
     VertexRemoval,
     WeightedGraph,
     apply_delta,
-    diff,
     modularity,
     partition_rebuild_aggregates,
 )
@@ -63,7 +62,7 @@ from .ingest import (
     write_reports,
 )
 from .louvain import (
-    DEFAULT_EPSILON,
+    EPSILON,
     compress,
     local_moving_pass,
     louvain,

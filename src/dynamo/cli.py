@@ -26,7 +26,7 @@ from .ingest import (
     write_partition_file,
     write_reports,
 )
-from .louvain import DEFAULT_EPSILON, louvain
+from .louvain import louvain
 from .metrics import ari, nmi
 
 
@@ -35,19 +35,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InfeasibleChurnError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DynamoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,12 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="slicing anchor (default: first event timestamp)")
     run.add_argument("--algorithms", default=",".join(ALGORITHMS),
                      help="comma-separated subset of: " + ", ".join(ALGORITHMS))
-    run.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     run.add_argument("--refine-threshold", type=float, default=-1.0,
                      help="rerun static detection when modularity drops below this "
                           "(-1 disables)")
-    run.add_argument("--seed", type=int, default=None,
-                     help="shuffle the vertex sweep order with this seed")
     run.add_argument("--repeat", type=int, default=1,
                      help="repetitions per snapshot for timing averages")
     run.add_argument("--with-baseline", action="store_true",
@@ -83,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     detect = sub.add_parser("detect", help="static detection on a single graph")
     detect.add_argument("--input", required=True, help="edge-event file; "
                         "timestamps are ignored and weights accumulate")
-    detect.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    detect.add_argument("--seed", type=int, default=None)
     detect.add_argument("--output", default="-", help="partition path, or - for stdout")
     detect.set_defaults(handler=_cmd_detect)
 
@@ -123,20 +111,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     if bool(args.input) == bool(args.deltas_dir):
-        raise _UsageError("exactly one of --input and --deltas-dir is required")
+        raise ValueError("exactly one of --input and --deltas-dir is required")
     if args.input and args.interval is None:
-        raise _UsageError("--interval is required with an event-file input")
+        raise ValueError("--interval is required with an event-file input")
     if args.deltas_dir and args.interval is not None:
-        raise _UsageError("--interval only applies to event-file input")
+        raise ValueError("--interval only applies to event-file input")
     if args.interval is not None and args.interval <= 0:
-        raise _UsageError("--interval must be positive")
+        raise ValueError("--interval must be positive")
 
     algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
     config = RunConfig(
         algorithms=algorithms,
-        epsilon=args.epsilon,
         refine_threshold=args.refine_threshold,
-        seed=args.seed,
         repeat=args.repeat,
         with_baseline=args.with_baseline,
     )
@@ -158,7 +144,7 @@ def _cmd_run(args) -> int:
 def _cmd_detect(args) -> int:
     events = parse_edge_events(args.input)
     graph = WeightedGraph.from_edges((e.u, e.v, e.weight) for e in events)
-    partition = louvain(graph, epsilon=args.epsilon, order_seed=args.seed)
+    partition = louvain(graph)
     if args.output == "-":
         sys.stdout.write(format_partition(partition))
     else:
@@ -197,7 +183,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_slice(args) -> int:
     if args.interval <= 0:
-        raise _UsageError("--interval must be positive")
+        raise ValueError("--interval must be positive")
     events = parse_edge_events(args.input)
     snapshots = slice_snapshots(events, args.interval, args.t0)
     out = Path(args.out_dir)

@@ -45,8 +45,8 @@ class WeightedGraph:
     :func:`dynamo.louvain.compress` produces. It follows the ordered-pair
     convention of ``alpha`` (twice the internal edge sum of an aggregated
     community), so it adds its full value to the vertex strength and half of it
-    to the total weight. Deltas cannot express it: :meth:`edges`,
-    :func:`diff` and :func:`apply_delta` cover edges only.
+    to the total weight. Deltas cannot express it: :meth:`edges` and
+    :func:`apply_delta` cover edges only.
     """
 
     __slots__ = ("_adj", "_self", "_strength", "_m")
@@ -262,29 +262,6 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
         del adj[v]
 
     return WeightedGraph(adj)
-
-
-def diff(g_old: WeightedGraph, g_new: WeightedGraph) -> GraphDelta:
-    """Delta transforming ``g_old`` into ``g_new`` under :func:`apply_delta`.
-
-    Edges incident to removed vertices are listed explicitly as deletions (they
-    are applied before the removal, so the round trip is exact).
-    """
-    old_v = set(g_old.vertices)
-    new_v = set(g_new.vertices)
-    added = frozenset(new_v - old_v)
-    removed = frozenset(old_v - new_v)
-
-    changes: list[EdgeChange] = []
-    for u, v, w_old in g_old.edges():
-        w_new = g_new.weight(u, v)
-        if w_new != w_old:
-            changes.append(EdgeChange(u, v, w_new - w_old))
-    for u, v, w_new in g_new.edges():
-        if not g_old.has_edge(u, v):
-            changes.append(EdgeChange(u, v, w_new))
-    changes.sort(key=lambda ec: (ec.u, ec.v))
-    return GraphDelta(added, removed, tuple(changes))
 
 
 class Partition:

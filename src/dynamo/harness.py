@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 from .graph import GraphDelta, Partition, WeightedGraph, apply_delta, modularity
 from .incremental import dynamo_update, refine_check
 from .ingest import Snapshot, SnapshotReport
-from .louvain import DEFAULT_EPSILON, louvain
+from .louvain import louvain
 from .metrics import ari, nmi
 
 ALGORITHMS = ("louvain", "dynamo")
@@ -34,9 +34,7 @@ ResultHook = Callable[[int, WeightedGraph, str, Partition], None]
 @dataclass(frozen=True)
 class RunConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
-    epsilon: float = DEFAULT_EPSILON
     refine_threshold: float = -1.0
-    seed: Optional[int] = None
     repeat: int = 1
     with_baseline: bool = False
 
@@ -81,7 +79,7 @@ def run_benchmark(
             elif name == "dynamo" and name in partitions:
                 step = _incremental_step(graph, prev_graph, partitions[name], snap.delta, config)
             else:
-                step = _static_step(graph, config)
+                step = partial(louvain, graph)
             partitions[name], elapsed[name] = _timed(step, config.repeat)
 
         for name in pipelines:
@@ -110,21 +108,13 @@ def run_benchmark(
     return [row for name in pipelines for row in rows[name]]
 
 
-def _static_step(graph: WeightedGraph, config: RunConfig) -> Callable[[], Partition]:
-    def run() -> Partition:
-        return louvain(graph, epsilon=config.epsilon, order_seed=config.seed)
-    return run
-
-
 def _incremental_step(graph: WeightedGraph, prev_graph: WeightedGraph, previous: Partition,
                       delta: GraphDelta, config: RunConfig) -> Callable[[], Partition]:
     def run() -> Partition:
-        partition = dynamo_update(
-            graph, prev_graph, previous, delta,
-            epsilon=config.epsilon, order_seed=config.seed,
-        )
-        if refine_check(modularity(graph, partition), config.refine_threshold):
-            partition = louvain(graph, epsilon=config.epsilon, order_seed=config.seed)
+        partition = dynamo_update(graph, prev_graph, previous, delta)
+        if config.refine_threshold > -1.0 and refine_check(
+                modularity(graph, partition), config.refine_threshold):
+            partition = louvain(graph)
         return partition
     return run
 

@@ -42,7 +42,7 @@ from .graph import (
     VertexRemoval,
     WeightedGraph,
 )
-from .louvain import DEFAULT_EPSILON, louvain
+from .louvain import louvain
 
 
 class ChangeKind(enum.Enum):
@@ -309,13 +309,11 @@ def dynamo_update(
     g_t: WeightedGraph,
     p_t: Partition,
     d: GraphDelta,
-    epsilon: float = DEFAULT_EPSILON,
-    order_seed: Optional[int] = None,
 ) -> Partition:
     """Update the community structure across one snapshot transition."""
     plan = init(g_t1, g_t, p_t, d)
     intermediate = intermediate_partition(g_t1, p_t, plan, d)
-    return louvain(g_t1, initial=intermediate, epsilon=epsilon, order_seed=order_seed)
+    return louvain(g_t1, initial=intermediate)
 
 
 def refine_check(q_current: float, q_threshold: float) -> bool:

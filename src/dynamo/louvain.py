@@ -11,19 +11,19 @@ and unfolding maps each original vertex through the community ids of the
 levels above it.
 
 Vertex sweeps run in ascending vertex-id order with smallest-community-id tie
-breaking, so detection is fully deterministic; pass ``order_seed`` to shuffle
-the sweep order reproducibly instead.
+breaking, and a move must gain more than :data:`EPSILON`, so detection is fully
+deterministic.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from .errors import EmptyGraphError, UnknownVertexError
 from .graph import Partition, WeightedGraph
 
-DEFAULT_EPSILON = 1e-7
+#: minimum modularity gain of a move
+EPSILON = 1e-7
 
 
 def compress(g: WeightedGraph, p: Partition) -> WeightedGraph:
@@ -54,20 +54,19 @@ def compress(g: WeightedGraph, p: Partition) -> WeightedGraph:
     return WeightedGraph(adj, self_w)
 
 
-def local_moving_pass(g, p: Partition, epsilon: float = DEFAULT_EPSILON,
-                      _order_rng: Optional[random.Random] = None) -> tuple[Partition, bool]:
+def local_moving_pass(g, p: Partition) -> Partition:
     """One local optimization phase: sweep vertices until a full sweep moves none.
 
     Each vertex is moved to the neighboring community with the largest
-    modularity gain when that gain exceeds ``epsilon``, and stays put
+    modularity gain when that gain exceeds :data:`EPSILON`, and stays put
     otherwise. Ties prefer the smallest community id. Emptied communities are
-    dropped. Returns the resulting partition and whether any move occurred.
+    dropped.
     """
     m = g.total_weight
     if m <= 0.0:
         raise EmptyGraphError("local moving undefined for zero-weight graphs")
     two_m = 2.0 * m
-    min_gain = epsilon * m  # gains below are tracked scaled by m
+    min_gain = EPSILON * m  # gains below are tracked scaled by m
 
     assign = dict(p.assignment)
     alpha = {c: p.alpha(c) for c in p.community_ids}
@@ -75,14 +74,11 @@ def local_moving_pass(g, p: Partition, epsilon: float = DEFAULT_EPSILON,
     members = {c: set(p.members(c)) for c in p.community_ids}
 
     order = sorted(g.vertices)
-    if _order_rng is not None:
-        _order_rng.shuffle(order)
 
     neighbors_of = g.neighbors
     strength_of = g.strength
     self_of = g.self_weight
 
-    improved = False
     while True:
         moved = False
         for v in order:
@@ -121,20 +117,14 @@ def local_moving_pass(g, p: Partition, epsilon: float = DEFAULT_EPSILON,
             members[b].add(v)
             assign[v] = b
             moved = True
-            improved = True
         if not moved:
             break
 
     frozen = {c: frozenset(s) for c, s in members.items()}
-    return Partition(assign, frozen, alpha, beta), improved
+    return Partition(assign, frozen, alpha, beta)
 
 
-def louvain(
-    g: WeightedGraph,
-    initial: Optional[Partition] = None,
-    epsilon: float = DEFAULT_EPSILON,
-    order_seed: Optional[int] = None,
-) -> Partition:
+def louvain(g: WeightedGraph, initial: Optional[Partition] = None) -> Partition:
     """Full Louvain optimization from ``initial`` (all singletons by default).
 
     Alternates local moving and compression until no further improvement is
@@ -152,12 +142,11 @@ def louvain(
             raise UnknownVertexError("initial partition does not cover the graph")
         level_p = initial
 
-    rng = random.Random(order_seed) if order_seed is not None else None
     level_graph = g
     to_level = {v: v for v in g.vertices}
 
     while True:
-        level_p, _ = local_moving_pass(level_graph, level_p, epsilon, _order_rng=rng)
+        level_p = local_moving_pass(level_graph, level_p)
         if level_p.num_communities == level_graph.num_vertices:
             break
         to_level = {v: level_p.community_of(lv) for v, lv in to_level.items()}

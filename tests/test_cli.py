@@ -1,14 +1,17 @@
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from dynamo import read_reports
-from dynamo.cli import main
+from dynamo.cli import _build_parser, main
 from dynamo.synthgen import Churn, GenConfig, generate
 
 TRIANGLE_EVENTS = "0\t1\t0\n1\t2\t0\n0\t2\t0\n3\t4\t0\n4\t5\t0\n3\t5\t0\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args):
@@ -175,7 +178,7 @@ class TestRun:
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
             assert main(["run", "--deltas-dir", str(source / "deltas"),
-                         "--output", str(out), "--seed", "5"]) == 0
+                         "--output", str(out)]) == 0
             rows = read_reports(out)
             outs.append([(r.snapshot_index, r.algorithm, r.modularity, r.nmi,
                           r.ari, r.num_communities) for r in rows])
@@ -183,9 +186,15 @@ class TestRun:
 
     def test_config_errors_exit_two(self, event_file, tmp_path, capsys):
         assert main(["run", "--input", str(event_file)]) == 2  # missing interval
+        assert capsys.readouterr().err == (
+            "error: --interval is required with an event-file input\n")
         assert main(["run", "--input", str(event_file), "--interval", "0"]) == 2
+        assert capsys.readouterr().err == "error: --interval must be positive\n"
+        one_input = "error: exactly one of --input and --deltas-dir is required\n"
         assert main(["run"]) == 2  # no input at all
-        capsys.readouterr()
+        assert capsys.readouterr().err == one_input
+        assert main(["run", "--input", str(event_file), "--deltas-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == one_input
         # RunConfig's own checks surface as usage errors too
         assert main(["run", "--input", str(event_file), "--interval", "5",
                      "--algorithms", "bogus"]) == 2
@@ -276,3 +285,19 @@ class TestEntrypoint:
                                "--interval", "10", "--algorithms", "louvain")
         assert code == 0
         assert out.startswith("snapshot,algorithm,")
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        # a README example that names a removed flag fails here
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("dynamo ")]
+        assert len(commands) >= 6
+        parser = _build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {shlex.join(argv)}")

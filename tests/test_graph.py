@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dynamo import (
     DuplicateVertexError,
@@ -14,11 +13,10 @@ from dynamo import (
     UnknownVertexError,
     WeightedGraph,
     apply_delta,
-    diff,
     modularity,
     partition_rebuild_aggregates,
 )
-from helpers import modularity_pairwise, random_delta, random_graph
+from helpers import modularity_pairwise, random_graph
 
 TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
@@ -134,36 +132,6 @@ class TestApplyDelta:
     def test_zero_or_non_finite_change_rejected(self, dw):
         with pytest.raises(ValueError):
             GraphDelta(edge_changes=(EdgeChange(0, 2, dw),))
-
-
-class TestDiff:
-    def test_identity(self):
-        g = two_triangles()
-        assert diff(g, g).is_empty()
-
-    def test_weight_change(self):
-        a = WeightedGraph.from_edges([(0, 1, 1.0)])
-        b = WeightedGraph.from_edges([(0, 1, 2.5)])
-        d = diff(a, b)
-        assert d.edge_changes == (EdgeChange(0, 1, 1.5),)
-
-    def test_vertex_removal_lists_edge_deletions(self):
-        a = WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        b = WeightedGraph.from_edges([(0, 1, 1.0)])
-        d = diff(a, b)
-        assert d.removed_vertices == frozenset({2})
-        assert {(c.u, c.v) for c in d.edge_changes} == {(0, 2), (1, 2)}
-        assert apply_delta(a, d) == b
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(0, 10_000))
-    def test_round_trip_random(self, seed_a, seed_b):
-        rng = random.Random(seed_a * 99991 + seed_b)
-        g = random_graph(rng, rng.randint(2, 12), 0.5)
-        d = random_delta(rng, g)
-        g2 = apply_delta(g, d)
-        recovered = diff(g, g2)
-        assert apply_delta(g, recovered) == g2
 
 
 class TestModularity:

@@ -2,6 +2,7 @@ import pytest
 
 from dynamo import (
     RunConfig,
+    harness,
     modularity,
     partition_rebuild_aggregates,
     run_benchmark,
@@ -117,6 +118,19 @@ class TestRunBenchmark:
             assert rows["dynamo"].modularity == pytest.approx(
                 rows["louvain"].modularity, abs=1e-12)
             assert rows["dynamo"].nmi == pytest.approx(1.0, abs=1e-12)
+
+    def test_default_threshold_scores_each_row_once(self, scenario, monkeypatch):
+        # refine_threshold -1 can never fire, so each row's own score is the
+        # only modularity call
+        calls = []
+
+        def counting(graph, partition):
+            calls.append(partition)
+            return modularity(graph, partition)
+
+        monkeypatch.setattr(harness, "modularity", counting)
+        reports = run_benchmark(scenario.snapshots, RunConfig(algorithms=("dynamo",)))
+        assert len(calls) == sum(r.modularity is not None for r in reports) == len(reports)
 
     def test_repeat_averages_timing(self, scenario):
         reports = run_benchmark(scenario.snapshots[:2], RunConfig(repeat=3))
