@@ -310,10 +310,18 @@ def dynamo_update(
     p_t: Partition,
     d: GraphDelta,
 ) -> Partition:
-    """Update the community structure across one snapshot transition."""
+    """Update the community structure across one snapshot transition.
+
+    Level 0 of the resumed optimization starts from the vertices the delta
+    freed: those whose community was not carried over (members of dissolved
+    communities and added vertices, which include every pair seed) and every
+    surviving endpoint of a changed edge. Moves reach further from there.
+    """
     plan = init(g_t1, g_t, p_t, d)
     intermediate = intermediate_partition(g_t1, p_t, plan, d)
-    return louvain(g_t1, initial=intermediate)
+    seeds = set(d.added_vertices).union(*(p_t.members(c) for c in plan.dissolve))
+    seeds.update(x for ec in d.edge_changes for x in (ec.u, ec.v))
+    return louvain(g_t1, initial=intermediate, seeds=seeds - d.removed_vertices)
 
 
 def refine_check(q_current: float, q_threshold: float) -> bool:

@@ -14,6 +14,12 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from dynamo import GraphDelta, EdgeChange, WeightedGraph, apply_delta
+from dynamo.louvain import EPSILON
+from dynamo.synthgen import GenConfig
+
+#: the 5k-vertex planted stream of the benchmark's edge-churn workload
+PLANTED_5K = GenConfig(seed=1, num_communities=20, community_size=250, p_in=0.06,
+                       p_out=1e-4, num_snapshots=3)
 
 
 def modularity_pairwise(g, labels: Mapping[int, int]) -> float:
@@ -31,6 +37,36 @@ def modularity_pairwise(g, labels: Mapping[int, int]) -> float:
     lab = np.array([labels[v] for v in verts])
     same = lab[:, None] == lab[None, :]
     return float(((a - np.outer(k, k) / two_m) * same).sum() / two_m)
+
+
+def residual_movers(g, p) -> int:
+    """Vertices that one more full local-moving sweep over ``p`` would move.
+
+    Counts each vertex whose best move into a neighboring community gains more
+    than ``EPSILON`` in modularity, with every other vertex held where ``p``
+    puts it. Community strengths are summed here from the vertex strengths
+    rather than read from ``p``'s aggregates. Zero means ``p`` is a local
+    optimum of single-vertex moves.
+    """
+    labels = p.assignment
+    m = g.total_weight
+    two_m = 2.0 * m
+    beta: dict[int, float] = {}
+    for v in g.vertices:
+        beta[labels[v]] = beta.get(labels[v], 0.0) + g.strength(v)
+    movers = 0
+    for v in g.vertices:
+        k_v = g.strength(v)
+        w_to: dict[int, float] = {}
+        for u, w in g.neighbors(v).items():
+            w_to[labels[u]] = w_to.get(labels[u], 0.0) + w
+        a = labels[v]
+        stay = w_to.get(a, 0.0) - k_v * (beta[a] - k_v) / two_m
+        # modularity gain of moving v into c, times m
+        gains = [w_c - k_v * beta[c] / two_m - stay for c, w_c in w_to.items() if c != a]
+        if gains and max(gains) > EPSILON * m:
+            movers += 1
+    return movers
 
 
 def snapshot_graphs(snapshots) -> list[WeightedGraph]:

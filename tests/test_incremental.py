@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -27,7 +28,8 @@ from dynamo import (
     partition_rebuild_aggregates,
     refine_check,
 )
-from helpers import modularity_pairwise, random_graph
+from dynamo.synthgen import Churn, GenConfig, generate
+from helpers import PLANTED_5K, modularity_pairwise, random_graph, residual_movers
 
 TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
@@ -37,6 +39,32 @@ def two_triangles():
     g = WeightedGraph.from_edges(TRIANGLES)
     p = Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}])
     return g, p
+
+
+class CountingGraph(WeightedGraph):
+    """A copy of a graph that counts the vertices local moving evaluates.
+
+    ``local_moving_pass`` reads each popped vertex's neighbors exactly once,
+    so its ``neighbors`` calls count evaluations. Aggregated levels are plain
+    graphs built by ``compress``, so only level 0 is counted.
+    """
+
+    __slots__ = ("evaluated",)
+
+    def __init__(self, g):
+        super().__init__({v: dict(g.neighbors(v)) for v in g.vertices})
+        self.evaluated = 0
+
+    def neighbors(self, u):
+        if sys._getframe(1).f_code.co_name == "local_moving_pass":
+            self.evaluated += 1
+        return super().neighbors(u)
+
+
+@pytest.fixture(scope="module")
+def planted_5k():
+    g = generate(PLANTED_5K).graphs[0]
+    return g, louvain(g)
 
 
 def three_triangles_with_bridges():
@@ -400,6 +428,8 @@ class TestDynamoUpdate:
             inter = intermediate_partition(g2, p, plan, d)
             out = louvain(g2, initial=inter)
             assert modularity(g2, out) >= modularity(g2, inter) - 1e-12
+            resumed = dynamo_update(g2, g, p, d)
+            assert modularity(g2, resumed) >= modularity(g2, inter) - 1e-12
 
     def test_update_chain_aggregates_stay_exact(self):
         rng = random.Random(79)
@@ -419,6 +449,37 @@ class TestDynamoUpdate:
             assert modularity(g2, p) == pytest.approx(
                 modularity_pairwise(g2, p.assignment), abs=1e-9)
             g = g2
+
+    def test_empty_delta_evaluates_no_vertex_at_level_0(self, planted_5k):
+        g, p = planted_5k
+        counting = CountingGraph(g)
+        out = dynamo_update(counting, g, p, GraphDelta.empty())
+        assert counting.evaluated == 0
+        assert out.as_sets() == p.as_sets()
+
+    def test_cross_decrease_evaluates_few_vertices_at_level_0(self, planted_5k):
+        g, p = planted_5k
+        u, v, w = next((u, v, w) for u, v, w in sorted(g.edges())
+                       if p.community_of(u) != p.community_of(v))
+        d = GraphDelta(edge_changes=(EdgeChange(u, v, -w),))
+        counting = CountingGraph(apply_delta(g, d))
+        out = dynamo_update(counting, g, p, d)
+        # a full sweep would evaluate all 5,000 vertices at least once
+        assert 2 <= counting.evaluated <= 50
+        assert out.as_sets() == p.as_sets()
+
+    def test_growth_stream_leaves_few_residual_movers(self):
+        # addition-only churn like the growth-events benchmark stream
+        scenario = generate(GenConfig(
+            seed=1, num_communities=8, community_size=50, p_in=0.2, p_out=0.004,
+            num_snapshots=60, weight_range=(1.0, 3.0),
+            churn=Churn(icea=3, ccea=2, vertex_add=1)))
+        assert scenario.addition_only
+        graphs = scenario.graphs
+        p = louvain(graphs[0])
+        for k in range(1, len(graphs)):
+            p = dynamo_update(graphs[k], graphs[k - 1], p, scenario.snapshots[k].delta)
+            assert residual_movers(graphs[k], p) <= 0.01 * graphs[k].num_vertices
 
 
 class TestRefineCheck:

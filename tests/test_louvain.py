@@ -5,6 +5,7 @@ import pytest
 from dynamo import (
     EmptyGraphError,
     Partition,
+    UnknownVertexError,
     WeightedGraph,
     compress,
     exhaustive_best_partition,
@@ -202,6 +203,21 @@ class TestLouvain:
         g = WeightedGraph.from_edges([], vertices=[0, 1])
         with pytest.raises(EmptyGraphError):
             louvain(g)
+
+    def test_unknown_seed_raises(self):
+        g = bridged(0.5)
+        with pytest.raises(UnknownVertexError):
+            louvain(g, seeds={0, 99})
+
+    def test_empty_seeds_leave_level_0_untouched(self):
+        g = bridged(0.5)
+        assert louvain(g, seeds=()).as_sets() == Partition.singletons(g).as_sets()
+        # upper levels still run, but only merge whole initial communities
+        initial = Partition.from_communities(g, [{0, 1}, {2}, {3, 4}, {5}])
+        out = louvain(g, initial=initial, seeds=set())
+        for block in initial.as_sets():
+            assert len({out.community_of(v) for v in block}) == 1
+        assert out.as_sets() == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
 
     def test_unfolded_aggregates_match_rebuild(self):
         rng = random.Random(53)

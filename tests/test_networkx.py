@@ -1,20 +1,23 @@
-"""Differential test: our modularity against networkx on 5k-vertex graphs."""
+"""Differential tests against networkx on 5k-vertex graphs: modularity, and Louvain's Q."""
 
 import pytest
 
 from dynamo import Partition, modularity
 from dynamo.louvain import compress, louvain
-from dynamo.synthgen import GenConfig, generate
+from dynamo.synthgen import generate
+from helpers import PLANTED_5K, residual_movers
 
 nx = pytest.importorskip("networkx")
-
-PLANTED_5K = GenConfig(seed=1, num_communities=20, community_size=250, p_in=0.06,
-                       p_out=1e-4, num_snapshots=3)
 
 
 @pytest.fixture(scope="module")
 def scenario():
     return generate(PLANTED_5K)
+
+
+@pytest.fixture(scope="module")
+def detected(scenario):
+    return [louvain(g) for g in scenario.graphs]
 
 
 def nx_graph(g):
@@ -38,10 +41,26 @@ def assert_same_q(g, p):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_planted_snapshots_truth_and_louvain(scenario, k):
+def test_planted_snapshots_truth_and_louvain(scenario, detected, k):
     g = scenario.graphs[k]
     assert_same_q(g, scenario.ground_truth[k])
-    assert_same_q(g, louvain(g))
+    assert_same_q(g, detected[k])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_louvain_q_matches_networkx_louvain(scenario, detected, k):
+    g = scenario.graphs[k]
+    h = nx_graph(g)
+    theirs = nx.community.louvain_communities(h, weight="weight", seed=0)
+    q_theirs = nx.community.modularity(h, theirs, weight="weight")
+    assert modularity(g, detected[k]) >= q_theirs - 1e-6
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_louvain_is_a_full_sweep_local_optimum(scenario, detected, k):
+    # the queue visits a vertex again only when a neighbor moves; no vertex may
+    # be left that a full sweep would still move
+    assert residual_movers(scenario.graphs[k], detected[k]) == 0
 
 
 def test_compressed_level_graph_self_weights(scenario):
