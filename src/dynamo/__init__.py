@@ -8,7 +8,6 @@ harness comparing the two detectors.
 
 from .errors import (
     ConflictingDeltaError,
-    DegenerateDenominatorError,
     DuplicateVertexError,
     DynamoError,
     EmptyGraphError,
@@ -39,13 +38,11 @@ from .harness import ALGORITHMS, RunConfig, run_benchmark
 from .incremental import (
     ChangeKind,
     InitPlan,
-    bisplit_threshold,
     ccea_merge_threshold,
     classify,
     dynamo_update,
     init,
     intermediate_partition,
-    refine_check,
 )
 from .ingest import (
     EdgeEvent,

@@ -29,10 +29,6 @@ class SameCommunityError(DynamoError):
     """The merge threshold requires the two endpoints in distinct communities."""
 
 
-class DegenerateDenominatorError(DynamoError):
-    """A threshold formula hit a zero denominator; the value is undefined."""
-
-
 class InconsistentSnapshotsError(DynamoError):
     """The supplied delta does not transform the old snapshot into the new one."""
 

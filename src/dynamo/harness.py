@@ -7,9 +7,10 @@ full rerun whenever the refinement threshold fires. A snapshot with zero total
 weight gets singletons in every pipeline and no modularity; ``dynamo`` resumes
 from those singletons. Wall-clock timing covers detection only (never I/O or
 metric computation) and averages over ``repeat`` identical repetitions;
-similarity metrics for incremental rows are computed against the same-snapshot
-static partition, which serves as the reference. The snapshot stream is folded
-one delta at a time, so a run holds two graphs however long the stream is.
+when both pipelines run, similarity metrics for incremental rows are computed
+against the same-snapshot static partition, which serves as the reference. The
+snapshot stream is folded one delta at a time, so a run holds two graphs
+however long the stream is.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .graph import GraphDelta, Partition, WeightedGraph, apply_delta, modularity
-from .incremental import dynamo_update, refine_check
+from .incremental import dynamo_update
 from .ingest import Snapshot, SnapshotReport
 from .louvain import louvain
 from .metrics import ari, nmi
@@ -36,7 +37,6 @@ class RunConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
     refine_threshold: float = -1.0
     repeat: int = 1
-    with_baseline: bool = False
 
     def __post_init__(self):
         if not self.algorithms:
@@ -59,13 +59,6 @@ def run_benchmark(
     graph and its predecessor; rows come back grouped by algorithm.
     """
     pipelines = list(dict.fromkeys(config.algorithms))
-    need_baseline = "dynamo" in pipelines and (
-        "louvain" in pipelines or config.with_baseline)
-
-    to_run = list(pipelines)
-    if need_baseline and "louvain" not in to_run:
-        to_run.append("louvain")
-
     rows: dict[str, list[SnapshotReport]] = {name: [] for name in pipelines}
     partitions: dict[str, Partition] = {}  # each pipeline's latest result
     graph = WeightedGraph.empty()
@@ -73,7 +66,7 @@ def run_benchmark(
         prev_graph, graph = graph, apply_delta(graph, snap.delta)
         elapsed: dict[str, int] = {}
         scored = graph.total_weight > 0.0
-        for name in to_run:
+        for name in pipelines:
             if not scored:  # Q is undefined on a zero-weight graph: unscored singletons
                 step = partial(Partition.singletons, graph)
             elif name == "dynamo" and name in partitions:
@@ -85,7 +78,7 @@ def run_benchmark(
         for name in pipelines:
             partition = partitions[name]
             score_nmi = score_ari = None
-            if name == "dynamo" and need_baseline:
+            if name == "dynamo" and "louvain" in pipelines:
                 score_nmi = nmi(partitions["louvain"], partition)
                 score_ari = ari(partitions["louvain"], partition)
             cumulative = rows[name][-1].cumulative_elapsed_ns if rows[name] else 0
@@ -112,8 +105,8 @@ def _incremental_step(graph: WeightedGraph, prev_graph: WeightedGraph, previous:
                       delta: GraphDelta, config: RunConfig) -> Callable[[], Partition]:
     def run() -> Partition:
         partition = dynamo_update(graph, prev_graph, previous, delta)
-        if config.refine_threshold > -1.0 and refine_check(
-                modularity(graph, partition), config.refine_threshold):
+        if (config.refine_threshold > -1.0
+                and modularity(graph, partition) < config.refine_threshold):
             partition = louvain(graph)
         return partition
     return run

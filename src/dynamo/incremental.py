@@ -9,7 +9,8 @@ from there instead of from scratch.
 Change handling, with all thresholds evaluated against the pre-change snapshot:
 
 * intra-community addition / weight increase: dissolve the touched community,
-  seed the two endpoints as a pair;
+  seed the two endpoints as a pair (testing whether a bi-split wins would mean
+  scoring every split of the community, so local moving finds the split);
 * cross-community addition / weight increase: merge test against the closed-form
   threshold (see :func:`ccea_merge_threshold`); below it nothing changes, above
   it both communities dissolve and the endpoints seed a pair;
@@ -27,13 +28,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
-from .errors import (
-    DegenerateDenominatorError,
-    InconsistentSnapshotsError,
-    SameCommunityError,
-)
+from .errors import InconsistentSnapshotsError, SameCommunityError
 from .graph import (
     EdgeChange,
     GraphDelta,
@@ -68,29 +64,21 @@ class InitPlan:
     dissolve: frozenset[int] = frozenset()
     pair_seeds: frozenset[frozenset[int]] = frozenset()
 
-    def is_empty(self) -> bool:
-        return not (self.dissolve or self.pair_seeds)
 
+def classify(g_t: WeightedGraph, p_t: Partition, change, delta: GraphDelta) -> ChangeKind:
+    """Kind of one element of ``delta``, given the pre-change snapshot and partition.
 
-def classify(g_t: WeightedGraph, p_t: Partition, change,
-             delta: Optional[GraphDelta] = None) -> ChangeKind:
-    """Kind of one delta element, given the pre-change snapshot and partition.
-
-    An edge change touching a vertex that the surrounding ``delta`` adds or
-    removes counts as vertex addition/deletion context; removal takes
-    precedence. Without ``delta``, additions are still inferred from endpoints
-    absent in ``g_t``, but removals cannot be.
+    An edge change touching a vertex that ``delta`` adds or removes counts as
+    vertex addition/deletion context; removal takes precedence.
     """
     if isinstance(change, VertexAddition):
         return ChangeKind.VERTEX_ADD
     if isinstance(change, VertexRemoval):
         return ChangeKind.VERTEX_DEL
     u, v, dw = change
-    added = delta.added_vertices if delta is not None else frozenset()
-    removed = delta.removed_vertices if delta is not None else frozenset()
-    if u in removed or v in removed:
+    if u in delta.removed_vertices or v in delta.removed_vertices:
         return ChangeKind.VERTEX_DEL
-    if u in added or v in added or not g_t.has_vertex(u) or not g_t.has_vertex(v):
+    if u in delta.added_vertices or v in delta.added_vertices:
         return ChangeKind.VERTEX_ADD
     same = p_t.community_of(u) == p_t.community_of(v)
     if dw > 0:
@@ -118,29 +106,6 @@ def ccea_merge_threshold(g_t: WeightedGraph, p_t: Partition, i: int, j: int) -> 
     # discriminant equals (2m - beta2)^2 + 4(beta_i - cross)(beta_j - cross) >= 0
     disc = d1 * d1 + 4.0 * d2
     return 0.5 * (-d1 + math.sqrt(max(disc, 0.0)))
-
-
-def bisplit_threshold(g, p: Partition, community: int, subset: Iterable[int]) -> float:
-    """Weight increase beyond which bi-splitting ``community`` can win.
-
-    ``subset`` is the side that keeps the changed edge's endpoints. Exposed for
-    property checks only; the batch initializer never evaluates bi-splits (that
-    would require scanning every split of the community).
-    """
-    part = frozenset(subset)
-    whole = p.members(community)
-    if not part or not part < whole:
-        raise ValueError("subset must be a non-empty proper subset of the community")
-    rest = whole - part
-    alpha_p, beta_p = _subset_aggregates(g, part)
-    alpha_q, beta_q = _subset_aggregates(g, rest)
-    alpha1 = p.alpha(community) - alpha_p - alpha_q
-    denominator = 2.0 * beta_q - alpha1
-    if abs(denominator) < 1e-12:
-        raise DegenerateDenominatorError(
-            f"2*beta_q - alpha1 vanishes for community {community}"
-        )
-    return (g.total_weight * alpha1 - beta_p * beta_q) / denominator
 
 
 def init(
@@ -204,7 +169,7 @@ def init(
             for k in (u, v):
                 if k in removed:
                     dissolve_around(k)
-                elif k in added or not g_t.has_vertex(k):
+                elif k in added:
                     handle_vertex_add(k)
         elif kind is ChangeKind.ICED_WD:
             dissolve_around(u)
@@ -324,15 +289,6 @@ def dynamo_update(
     return louvain(g_t1, initial=intermediate, seeds=seeds - d.removed_vertices)
 
 
-def refine_check(q_current: float, q_threshold: float) -> bool:
-    """True when maintained modularity fell below the refinement threshold.
-
-    The caller should then rerun full static detection from singletons on the
-    current snapshot. A threshold of -1 (or lower) never fires.
-    """
-    return q_current < q_threshold
-
-
 def _cross_weight(g, side_a: frozenset[int], side_b: frozenset[int]) -> float:
     """Total weight of edges between two disjoint vertex sets."""
     if len(side_b) < len(side_a):
@@ -343,19 +299,6 @@ def _cross_weight(g, side_a: frozenset[int], side_b: frozenset[int]) -> float:
             if nbr in side_b:
                 total += w
     return total
-
-
-def _subset_aggregates(g, subset: frozenset[int]) -> tuple[float, float]:
-    """(alpha, beta) of an ad-hoc vertex set, by direct summation."""
-    alpha = 0.0
-    beta = 0.0
-    for v in sorted(subset):
-        alpha += g.self_weight(v)
-        beta += g.strength(v)
-        for nbr, w in g.neighbors(v).items():
-            if nbr in subset:
-                alpha += w
-    return alpha, beta
 
 
 def _check_consistency(g_t1: WeightedGraph, g_t: WeightedGraph, d: GraphDelta) -> None:

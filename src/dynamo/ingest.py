@@ -202,7 +202,10 @@ def read_partition_file(path: PathLike) -> dict[int, int]:
             try:
                 if len(fields) != 2:
                     raise ValueError(f"expected 2 fields, got {len(fields)}")
-                assignment[int(fields[0])] = int(fields[1])
+                v = int(fields[0])
+                if v in assignment:
+                    raise ValueError(f"vertex {v} listed twice")
+                assignment[v] = int(fields[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
     return assignment

@@ -1,3 +1,5 @@
+import argparse
+import re
 import shlex
 import subprocess
 import sys
@@ -80,6 +82,14 @@ class TestMetrics:
         a.write_text("0\t0\n1\t0\n")
         b.write_text("0\t0\n9\t0\n")
         assert main(["metrics", str(a), str(b)]) == 1
+
+    def test_repeated_vertex_exits_one(self, tmp_path, capsys):
+        a = tmp_path / "a.tsv"
+        b = tmp_path / "b.tsv"
+        a.write_text("0\t0\n1\t0\n0\t1\n")
+        b.write_text("0\t1\n1\t0\n")
+        assert main(["metrics", str(a), str(b)]) == 1
+        assert capsys.readouterr().err == f"error: {a}:3: vertex 0 listed twice\n"
 
 
 class TestGenerate:
@@ -195,6 +205,8 @@ class TestRun:
         assert capsys.readouterr().err == one_input
         assert main(["run", "--input", str(event_file), "--deltas-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == one_input
+        assert main(["run", "--deltas-dir", str(tmp_path), "--t0", "3"]) == 2
+        assert capsys.readouterr().err == "error: --t0 only applies to event-file input\n"
         # RunConfig's own checks surface as usage errors too
         assert main(["run", "--input", str(event_file), "--interval", "5",
                      "--algorithms", "bogus"]) == 2
@@ -287,11 +299,28 @@ class TestEntrypoint:
         assert out.startswith("snapshot,algorithm,")
 
 
+def readme_cli_section():
+    text = README.read_text(encoding="utf-8")
+    return text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_cli_flags():
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme_cli_section()))
+
+
+def subcommand_flags():
+    """Long options accepted by each ``dynamo`` subcommand, ``--help`` aside."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+            for name, p in sub.choices.items()}
+
+
 class TestReadme:
     def test_cli_examples_parse(self):
         # a README example that names a removed flag fails here
-        text = README.read_text(encoding="utf-8")
-        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
         commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("dynamo ")]
         assert len(commands) >= 6
@@ -301,3 +330,11 @@ class TestReadme:
                 parser.parse_args(argv[1:])
             except SystemExit:
                 pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
+    def test_every_named_flag_exists(self):
+        # prose as well as examples: a stale mention of a removed flag fails here
+        accepted = set().union(*subcommand_flags().values())
+        assert readme_cli_flags() - accepted == set()
+
+    def test_every_run_flag_is_documented(self):
+        assert subcommand_flags()["run"] - readme_cli_flags() == set()

@@ -25,6 +25,12 @@ def scenario():
     return generate(SCENARIO)
 
 
+def strip(rows):
+    """Report rows without their timing columns."""
+    return [(r.snapshot_index, r.algorithm, r.modularity, r.nmi, r.ari,
+             r.num_vertices, r.num_edges, r.num_communities) for r in rows]
+
+
 class TestRunConfig:
     def test_requires_algorithm(self):
         with pytest.raises(ValueError):
@@ -57,12 +63,6 @@ class TestRunBenchmark:
                 assert r.nmi == pytest.approx(1.0, abs=1e-12)
                 assert r.ari == pytest.approx(1.0, abs=1e-12)
 
-    def test_with_baseline_scores_dynamo_alone(self, scenario):
-        reports = run_benchmark(scenario.snapshots[:3],
-                                RunConfig(algorithms=("dynamo",), with_baseline=True))
-        assert {r.algorithm for r in reports} == {"dynamo"}
-        assert all(r.nmi is not None for r in reports)
-
     def test_dynamo_alone_without_baseline_has_no_scores(self, scenario):
         reports = run_benchmark(scenario.snapshots[:3],
                                 RunConfig(algorithms=("dynamo",)))
@@ -77,9 +77,6 @@ class TestRunBenchmark:
                 assert b.cumulative_elapsed_ns >= a.cumulative_elapsed_ns
 
     def test_deterministic_outputs_excluding_timing(self, scenario):
-        def strip(rows):
-            return [(r.snapshot_index, r.algorithm, r.modularity, r.nmi, r.ari,
-                     r.num_vertices, r.num_edges, r.num_communities) for r in rows]
         a = run_benchmark(scenario.snapshots, RunConfig())
         b = run_benchmark(scenario.snapshots, RunConfig())
         c = run_benchmark(iter(scenario.snapshots), RunConfig())  # a one-shot stream
@@ -118,6 +115,25 @@ class TestRunBenchmark:
             assert rows["dynamo"].modularity == pytest.approx(
                 rows["louvain"].modularity, abs=1e-12)
             assert rows["dynamo"].nmi == pytest.approx(1.0, abs=1e-12)
+
+    def test_threshold_below_any_modularity_never_fires(self, scenario, monkeypatch):
+        # Q >= -1/2 on every graph: a threshold of -0.5 is checked after each
+        # update but never fires, so the dynamo rows stay those of a default run
+        default = run_benchmark(scenario.snapshots, RunConfig())
+        calls = []
+
+        def counting(graph, partition):
+            calls.append(partition)
+            return modularity(graph, partition)
+
+        monkeypatch.setattr(harness, "modularity", counting)
+        checked = run_benchmark(scenario.snapshots, RunConfig(refine_threshold=-0.5))
+        assert strip(checked) == strip(default)
+        updates = len(scenario.snapshots) - 1
+        assert len(calls) == len(checked) + updates
+        louvain_q = [r.modularity for r in checked if r.algorithm == "louvain"]
+        dynamo_q = [r.modularity for r in checked if r.algorithm == "dynamo"]
+        assert dynamo_q != louvain_q  # a threshold that fired would copy these
 
     def test_default_threshold_scores_each_row_once(self, scenario, monkeypatch):
         # refine_threshold -1 can never fire, so each row's own score is the

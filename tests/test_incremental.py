@@ -8,14 +8,14 @@ from dynamo import (
     EdgeChange,
     GraphDelta,
     InconsistentSnapshotsError,
-    DegenerateDenominatorError,
+    InitPlan,
     Partition,
     SameCommunityError,
+    UnknownVertexError,
     VertexAddition,
     VertexRemoval,
     WeightedGraph,
     apply_delta,
-    bisplit_threshold,
     ccea_merge_threshold,
     classify,
     dynamo_update,
@@ -26,7 +26,6 @@ from dynamo import (
     modularity,
     nmi,
     partition_rebuild_aggregates,
-    refine_check,
 )
 from dynamo.synthgen import Churn, GenConfig, generate
 from helpers import PLANTED_5K, modularity_pairwise, random_graph, residual_movers
@@ -75,32 +74,36 @@ def three_triangles_with_bridges():
     return g, p
 
 
+NO_CHANGE = GraphDelta.empty()
+
+
 class TestClassify:
     def test_intra_increase(self):
         g, p = two_triangles()
-        assert classify(g, p, EdgeChange(0, 1, 0.5)) is ChangeKind.ICEA_WI
+        assert classify(g, p, EdgeChange(0, 1, 0.5), NO_CHANGE) is ChangeKind.ICEA_WI
 
     def test_cross_decrease(self):
         g, p = three_triangles_with_bridges()
-        assert classify(g, p, EdgeChange(0, 3, -0.2)) is ChangeKind.CCED_WD
+        assert classify(g, p, EdgeChange(0, 3, -0.2), NO_CHANGE) is ChangeKind.CCED_WD
 
     def test_cross_increase_and_intra_decrease(self):
         g, p = two_triangles()
-        assert classify(g, p, EdgeChange(2, 3, 1.0)) is ChangeKind.CCEA_WI
-        assert classify(g, p, EdgeChange(0, 1, -0.5)) is ChangeKind.ICED_WD
+        assert classify(g, p, EdgeChange(2, 3, 1.0), NO_CHANGE) is ChangeKind.CCEA_WI
+        assert classify(g, p, EdgeChange(0, 1, -0.5), NO_CHANGE) is ChangeKind.ICED_WD
 
     def test_vertex_events(self):
         g, p = two_triangles()
-        assert classify(g, p, VertexAddition(9)) is ChangeKind.VERTEX_ADD
-        assert classify(g, p, VertexRemoval(0)) is ChangeKind.VERTEX_DEL
+        assert classify(g, p, VertexAddition(9), NO_CHANGE) is ChangeKind.VERTEX_ADD
+        assert classify(g, p, VertexRemoval(0), NO_CHANGE) is ChangeKind.VERTEX_DEL
 
     def test_edge_change_with_added_endpoint(self):
         g, p = two_triangles()
         d = GraphDelta(added_vertices=frozenset({9}),
                        edge_changes=(EdgeChange(9, 0, 1.0),))
         assert classify(g, p, d.edge_changes[0], d) is ChangeKind.VERTEX_ADD
-        # added endpoints are inferred from the graph even without the delta
-        assert classify(g, p, EdgeChange(9, 0, 1.0)) is ChangeKind.VERTEX_ADD
+        # only the delta says which vertices are new
+        with pytest.raises(UnknownVertexError):
+            classify(g, p, EdgeChange(9, 0, 1.0), NO_CHANGE)
 
     def test_edge_change_with_removed_endpoint(self):
         g, p = two_triangles()
@@ -154,69 +157,11 @@ class TestMergeThreshold:
             checked += 1
 
 
-class TestBisplitThreshold:
-    def test_zero_cross_edges_negative_half_beta(self):
-        g, p = two_triangles()
-        # communities are disjoint: pretend {0,1,2} union {3,4,5} is one community
-        p_one = Partition.from_communities(g, [{0, 1, 2, 3, 4, 5}])
-        c = next(iter(p_one.community_ids))
-        thr = bisplit_threshold(g, p_one, c, {0, 1, 2})
-        beta_p = sum(g.strength(v) for v in (0, 1, 2))
-        assert thr == pytest.approx(-beta_p / 2.0, abs=1e-9)
-        assert thr < 0.0
-
-    def test_degenerate_denominator_reported(self):
-        # c_q's strength is exactly the cut to c_p: 2*beta_q - alpha_1 == 0
-        g = WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
-        p = Partition.from_communities(g, [{0, 1, 2, 3}])
-        c = next(iter(p.community_ids))
-        with pytest.raises(DegenerateDenominatorError):
-            bisplit_threshold(g, p, c, {0, 1, 2})
-
-    def test_subset_validation(self):
-        g, p = two_triangles()
-        c = p.community_of(0)
-        with pytest.raises(ValueError):
-            bisplit_threshold(g, p, c, set())
-        with pytest.raises(ValueError):
-            bisplit_threshold(g, p, c, {0, 1, 2})
-
-    def test_direction_agrees_with_brute_force(self):
-        # 1000 sampled (graph, split, dw): the inequality direction matches a
-        # direct evaluation of both structures on the post-change graph
-        rng = random.Random(67)
-        checked = 0
-        while checked < 1000:
-            g = random_graph(rng, 6, 0.7)
-            if g.total_weight == 0:
-                continue
-            p = Partition.from_communities(g, [set(g.vertices)])
-            c = next(iter(p.community_ids))
-            members = sorted(p.members(c))
-            size_p = rng.randint(2, len(members) - 1)
-            c_p = set(rng.sample(members, size_p))
-            i, j = rng.sample(sorted(c_p), 2)
-            try:
-                thr = bisplit_threshold(g, p, c, c_p)
-            except DegenerateDenominatorError:
-                continue
-            dw = rng.choice([0.05, 0.4, 1.5, 6.0, abs(thr) * 1.5 + 0.1])
-            if dw <= 0 or abs(dw - thr) < 1e-6:
-                continue
-            g2 = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(i, j, dw),)))
-            labels_unchanged = {v: 0 for v in g.vertices}
-            labels_split = {v: (0 if v in c_p else 1) for v in g.vertices}
-            q_unchanged = modularity_pairwise(g2, labels_unchanged)
-            q_split = modularity_pairwise(g2, labels_split)
-            assert (q_split > q_unchanged) == (dw > thr)
-            checked += 1
-
-
 class TestInitPlan:
     def test_empty_delta_empty_plan(self):
         g, p = two_triangles()
         plan = init(g, g, p, GraphDelta.empty())
-        assert plan.is_empty()
+        assert plan == InitPlan()
 
     def test_icea_dissolves_community_and_seeds_pair(self):
         g, p = two_triangles()
@@ -229,7 +174,7 @@ class TestInitPlan:
         g, p = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(2, 3, 1.0),))
         plan = init(apply_delta(g, d), g, p, d)
-        assert plan.is_empty()
+        assert plan == InitPlan()
 
     def test_ccea_above_threshold_dissolves_both(self):
         g, p = two_triangles()
@@ -269,7 +214,7 @@ class TestInitPlan:
                 assert plan.pair_seeds == frozenset({frozenset({i, j})})
                 merges += 1
             else:
-                assert plan.is_empty()
+                assert plan == InitPlan()
             checked += 1
         assert 0 < merges < checked
 
@@ -277,7 +222,7 @@ class TestInitPlan:
         g, p = three_triangles_with_bridges()
         d = GraphDelta(edge_changes=(EdgeChange(0, 3, -0.2),))
         plan = init(apply_delta(g, d), g, p, d)
-        assert plan.is_empty()
+        assert plan == InitPlan()
 
     def test_iced_dissolves_community_and_neighbors(self):
         g, p = three_triangles_with_bridges()
@@ -313,7 +258,7 @@ class TestInitPlan:
         d = GraphDelta(added_vertices=frozenset({9}))
         g2 = apply_delta(g, d)
         plan = init(g2, g, p, d)
-        assert plan.is_empty()
+        assert plan == InitPlan()
         out = dynamo_update(g2, g, p, d)
         assert out.members(out.community_of(9)) == frozenset({9})
 
@@ -480,18 +425,6 @@ class TestDynamoUpdate:
         for k in range(1, len(graphs)):
             p = dynamo_update(graphs[k], graphs[k - 1], p, scenario.snapshots[k].delta)
             assert residual_movers(graphs[k], p) <= 0.01 * graphs[k].num_vertices
-
-
-class TestRefineCheck:
-    def test_above_threshold_no_refine(self):
-        assert refine_check(0.4, 0.3) is False
-
-    def test_below_threshold_refines(self):
-        assert refine_check(0.2, 0.3) is True
-
-    def test_disabled_threshold_never_fires(self):
-        assert refine_check(-0.99, -1.0) is False
-        assert refine_check(0.0, -1.0) is False
 
 
 class TestCommunitySplitOnInternalIncrease:

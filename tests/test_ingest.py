@@ -175,6 +175,12 @@ class TestPartitionFiles:
         assert path.read_text() == "1\t0\n2\t0\n3\t1\n"
         assert read_partition_file(path) == {1: 0, 2: 0, 3: 1}
 
+    def test_repeated_vertex_rejected(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text("0\t0\n1\t0\n0\t1\n")
+        with pytest.raises(ParseError, match=r"p\.tsv:3: vertex 0 listed twice"):
+            read_partition_file(path)
+
 
 def _report(i, algorithm="louvain", nmi=None, ari=None):
     return SnapshotReport(
