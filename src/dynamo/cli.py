@@ -142,11 +142,11 @@ def _cmd_run(args) -> int:
 def _cmd_detect(args) -> int:
     events = parse_edge_events(args.input)
     graph = WeightedGraph.from_edges((e.u, e.v, e.weight) for e in events)
-    partition = louvain(graph)
+    labels = louvain(graph).relabeled()  # communities 0..k-1 by smallest member
     if args.output == "-":
-        sys.stdout.write(format_partition(partition))
+        sys.stdout.write(format_partition(labels))
     else:
-        write_partition_file(partition, args.output)
+        write_partition_file(labels, args.output)
     return 0
 
 

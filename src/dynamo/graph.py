@@ -32,6 +32,10 @@ from .errors import (
 # Weights driven this close to zero by a decrease are treated as exact deletions.
 _WEIGHT_EPS = 1e-12
 
+# A cross weight that a subtraction leaves at or below this share of its
+# previous value may have lost its last edge; it is summed again from the graph.
+_RESIDUE = 1e-9
+
 
 class WeightedGraph:
     """Undirected weighted graph with cached strengths and total weight.
@@ -61,6 +65,14 @@ class WeightedGraph:
         for u, s in self._self.items():
             self._strength[u] += s
         self._m = 0.5 * math.fsum(self._strength.values())
+
+    @classmethod
+    def _assemble(cls, adjacency: dict[int, dict[int, float]], self_weights: dict[int, float],
+                  strength: dict[int, float], m: float) -> "WeightedGraph":
+        """Internal constructor that takes the cached strengths and ``m`` as given."""
+        g = cls.__new__(cls)
+        g._adj, g._self, g._strength, g._m = adjacency, self_weights, strength, m
+        return g
 
     @classmethod
     def empty(cls) -> "WeightedGraph":
@@ -228,13 +240,27 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
     removals. Removing a vertex drops all its incident edges. A decrease that
     would push a weight below zero raises :class:`NegativeWeightError`; a
     decrease reaching exactly zero deletes the edge.
+
+    The result shares every adjacency row the delta leaves alone with ``g``
+    and copies a row before its first change, so ``g`` is never mutated.
+    Beyond two dict copies, the work follows the rows the delta touches: only
+    their strengths are re-summed. Self weights of surviving vertices carry
+    over.
     """
-    adj = g.copy_adjacency()
+    adj = dict(g._adj)
+    copied: set[int] = set()
+
+    def row(u: int) -> dict[int, float]:
+        if u not in copied:
+            adj[u] = dict(adj[u])
+            copied.add(u)
+        return adj[u]
 
     for v in sorted(d.added_vertices):
         if v in adj:
             raise DuplicateVertexError(f"vertex {v} already exists")
         adj[v] = {}
+        copied.add(v)
 
     for u, v, dw in d.edge_changes:
         if u == v:
@@ -242,26 +268,36 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
         if u not in adj or v not in adj:
             missing = u if u not in adj else v
             raise UnknownVertexError(f"edge change references unknown vertex {missing}")
-        new_w = adj[u].get(v, 0.0) + dw
+        # checked inline: a helper call per endpoint made bulk deltas markedly slower
+        row_u = adj[u] if u in copied else row(u)
+        row_v = adj[v] if v in copied else row(v)
+        old_w = row_u.get(v, 0.0)
+        new_w = old_w + dw
         if dw < 0.0 and new_w < -_WEIGHT_EPS:
-            raise NegativeWeightError(
-                f"decrease of {-dw} exceeds weight {adj[u].get(v, 0.0)} on ({u},{v})"
-            )
+            raise NegativeWeightError(f"decrease of {-dw} exceeds weight {old_w} on ({u},{v})")
         if new_w <= _WEIGHT_EPS:
-            adj[u].pop(v, None)
-            adj[v].pop(u, None)
+            row_u.pop(v, None)
+            row_v.pop(u, None)
         else:
-            adj[u][v] = new_w
-            adj[v][u] = new_w
+            row_u[v] = row_v[u] = new_w
 
     for v in sorted(d.removed_vertices):
         if v not in adj:
             raise UnknownVertexError(f"cannot remove unknown vertex {v}")
         for nbr in adj[v]:
-            del adj[nbr][v]
+            del row(nbr)[v]
         del adj[v]
 
-    return WeightedGraph(adj)
+    self_w = g._self
+    strength = dict(g._strength)
+    for v in d.removed_vertices:
+        del strength[v]
+        if v in self_w:
+            self_w = {u: s for u, s in self_w.items() if u in adj}
+    for u in copied:
+        if u in adj:
+            strength[u] = math.fsum(adj[u].values()) + self_w.get(u, 0.0)
+    return WeightedGraph._assemble(adj, self_w, strength, 0.5 * math.fsum(strength.values()))
 
 
 class Partition:
@@ -271,9 +307,15 @@ class Partition:
     module-level conventions; they are maintained incrementally by the
     optimizer and can always be cross-checked against
     :func:`partition_rebuild_aggregates`.
+
+    A partition may also carry its community graph: the graph that
+    :func:`dynamo.louvain.compress` would build from it, one vertex per
+    community named by its id, with ``alpha`` as self weights and ``beta`` as
+    strengths. Detection results carry it, and the incremental updater edits
+    it instead of rebuilding it; partitions built here carry none.
     """
 
-    __slots__ = ("_assignment", "_members", "_alpha", "_beta")
+    __slots__ = ("_assignment", "_members", "_alpha", "_beta", "_graph")
 
     def __init__(
         self,
@@ -281,11 +323,13 @@ class Partition:
         members: dict[int, frozenset[int]],
         alpha: dict[int, float],
         beta: dict[int, float],
+        community_graph: Union[WeightedGraph, "CommunityGraphEdit", None] = None,
     ):
         self._assignment = assignment
         self._members = members
         self._alpha = alpha
         self._beta = beta
+        self._graph = community_graph
 
     # -- constructors -------------------------------------------------------
 
@@ -364,6 +408,28 @@ class Partition:
     def members(self, c: int) -> frozenset[int]:
         return self._members[c]
 
+    @property
+    def community_graph(self) -> Optional[WeightedGraph]:
+        """The community graph, or None when this partition carries none."""
+        h = self._graph
+        if isinstance(h, CommunityGraphEdit):  # finish the pending edit once
+            edit = h.fork()
+            edit.regroup(self, self, ())
+            h = self._graph = edit.finish(self)
+        return h
+
+    def with_community_graph(self, h: Union[WeightedGraph, "CommunityGraphEdit"]) -> "Partition":
+        """This partition carrying ``h`` (a graph or a pending edit) as its community graph."""
+        return Partition(self._assignment, self._members, self._alpha, self._beta, h)
+
+    def community_graph_edit(self, g: WeightedGraph) -> Optional["CommunityGraphEdit"]:
+        """A new edit over ``g`` that starts from this partition's community graph."""
+        h = self._graph
+        if isinstance(h, CommunityGraphEdit) and h.g is g:
+            return h.fork()
+        h = self.community_graph
+        return None if h is None else CommunityGraphEdit(g, h._adj)
+
     def alpha(self, c: int) -> float:
         return self._alpha[c]
 
@@ -387,6 +453,135 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.num_communities} communities over {self.num_vertices} vertices)"
+
+
+class CommunityGraphEdit:
+    """Copy-on-write edits that turn one partition's community graph into another's.
+
+    An edit over graph ``g`` holds the cross weights between the communities
+    of a partition of ``g``, except for the edges at the vertices in
+    ``pending``: :meth:`regroup` counts those once, under the communities the
+    vertices end up in. A row is copied before its first change, so the rows
+    an edit starts from are never mutated; an edit that a partition carries is
+    never changed again, only forked. Self weights and strengths are not
+    edited: :meth:`finish` takes them from the partition's ``alpha`` and
+    ``beta``.
+    """
+
+    __slots__ = ("g", "adj", "pending", "_copied", "_low")
+
+    def __init__(self, g: WeightedGraph, rows: dict[int, dict[int, float]],
+                 pending: frozenset[int] = frozenset()):
+        self.g = g
+        self.adj = dict(rows)  # rows are shared until written
+        self.pending = pending
+        self._copied: set[int] = set()
+        self._low: set[tuple[int, int]] = set()
+
+    def fork(self) -> "CommunityGraphEdit":
+        """A new edit that starts where this one stands."""
+        child = CommunityGraphEdit(self.g, self.adj, self.pending)
+        child._low = set(self._low)
+        return child
+
+    def row(self, c: int) -> dict[int, float]:
+        """Community ``c``'s row, safe to write."""
+        if c not in self._copied:
+            self.adj[c] = dict(self.adj[c])
+            self._copied.add(c)
+        return self.adj[c]
+
+    def add(self, communities: Iterable[int]) -> None:
+        """Add these communities, with no cross weights."""
+        for c in communities:
+            self.adj[c] = {}
+            self._copied.add(c)
+
+    def drop(self, communities: Iterable[int]) -> None:
+        """Remove these communities and every cross weight to them."""
+        rows = [(c, self.adj.pop(c)) for c in sorted(communities)]
+        for c, row in rows:
+            for d in row:
+                if d in self.adj:
+                    del self.row(d)[c]
+
+    def shift(self, a: int, b: int, w: float) -> None:
+        """Add ``w``, negative to subtract, to the cross weight of ``a`` and ``b``."""
+        row_a = self.row(a)
+        row_b = self.row(b)
+        old = row_a.get(b, 0.0)
+        row_a[b] = row_b[a] = old + w
+        if old + w <= _RESIDUE * old:  # maybe the pair's last edge: settled in finish
+            self._low.add((a, b) if a < b else (b, a))
+
+    def regroup(self, before: "Partition", after: "Partition", moved: Iterable[int]) -> None:
+        """Follow the vertices of ``moved`` from ``before`` to ``after``, then count the pending.
+
+        Communities that lost every member are dropped whole first. Each vertex
+        that ended in another community then moves its cross weights, against
+        the current community of each neighbour, one vertex at a time. Last,
+        each pending vertex's edges are counted under ``after``. The work is
+        O(degrees of the moved and pending vertices + dropped rows).
+        """
+        old = before.assignment
+        new = after.assignment
+        pending = self.pending
+        movers = sorted(v for v in moved if new[v] != old[v] and v not in pending)
+        gone = {old[v] for v in moved if old[v] not in after._members}
+        self.drop(gone)
+        neighbors = self.g.neighbors
+        done: set[int] = set()
+        for v in movers:
+            a, b = old[v], new[v]
+            w_to: dict[int, float] = {}
+            for u, w in neighbors(v).items():
+                if u not in pending:
+                    cu = new[u] if u in done else old[u]
+                    if cu not in gone:  # else u moves later and brings this edge along
+                        w_to[cu] = w_to.get(cu, 0.0) + w
+            done.add(v)
+            for c, w in w_to.items():
+                if c != a and a not in gone:
+                    self.shift(a, c, -w)
+                if c != b:
+                    self.shift(b, c, w)
+        row = self.row
+        for v in sorted(pending):
+            b = new[v]
+            w_to = {}
+            for u, w in neighbors(v).items():
+                if u not in pending or u > v:  # an edge between two pending vertices counts once
+                    cu = new[u]
+                    if cu != b:
+                        w_to[cu] = w_to.get(cu, 0.0) + w
+            if w_to:
+                row_b = row(b)
+                for c, w in w_to.items():
+                    row_b[c] = row(c)[b] = row_b.get(c, 0.0) + w
+        self.pending = frozenset()
+
+    def finish(self, p: "Partition") -> WeightedGraph:
+        """The edited graph, as the community graph of ``p`` on ``g``; nothing may be pending.
+
+        Each cross weight that a subtraction left near zero is summed again
+        from ``g``, over the members of the smaller community, and the pair is
+        dropped when no edge joins it: a float residue never survives as a
+        neighbour.
+        """
+        adj = self.adj
+        assign = p.assignment
+        for a, b in sorted(self._low):
+            if a not in adj or b not in adj[a]:
+                continue
+            if len(p.members(b)) < len(p.members(a)):
+                a, b = b, a
+            w = math.fsum(x for v in p.members(a) for u, x in self.g.neighbors(v).items()
+                          if assign[u] == b)
+            if w > 0.0:
+                adj[a][b] = adj[b][a] = w
+            else:
+                del adj[a][b], adj[b][a]
+        return WeightedGraph._assemble(adj, p._alpha, p._beta, self.g.total_weight)
 
 
 def partition_rebuild_aggregates(g, assignment: Mapping[int, int]) -> Partition:

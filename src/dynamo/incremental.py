@@ -38,7 +38,7 @@ from .graph import (
     VertexRemoval,
     WeightedGraph,
 )
-from .louvain import louvain
+from .louvain import compress, louvain
 
 
 class ChangeKind(enum.Enum):
@@ -91,14 +91,17 @@ def ccea_merge_threshold(g_t: WeightedGraph, p_t: Partition, i: int, j: int) -> 
 
     For a cross-community increase of ``dw`` on ``(i, j)``, merging strictly
     improves modularity over keeping the structure unchanged iff ``dw`` exceeds
-    the returned value. Evaluated on the pre-change snapshot.
+    the returned value. Evaluated on the pre-change snapshot; the cross weight
+    of the two communities is read from ``p_t``'s community graph, which is
+    built first when ``p_t`` carries none.
     """
     c_i = p_t.community_of(i)
     c_j = p_t.community_of(j)
     if c_i == c_j:
         raise SameCommunityError(f"vertices {i} and {j} share community {c_i}")
     m = g_t.total_weight
-    cross = _cross_weight(g_t, p_t.members(c_i), p_t.members(c_j))
+    h = p_t.community_graph
+    cross = (compress(g_t, p_t) if h is None else h).weight(c_i, c_j)
     alpha2 = -2.0 * cross  # alpha_i + alpha_j - alpha_merged
     beta2 = p_t.beta(c_i) + p_t.beta(c_j)
     d1 = 2.0 * m - alpha2 - beta2
@@ -195,14 +198,20 @@ def intermediate_partition(
 ) -> Partition:
     """Materialize the plan on the new snapshot.
 
-    Non-dissolved communities carry over (minus deleted members), dissolved
-    communities explode into singletons, pair seeds become two-vertex
-    communities, and added vertices outside any pair stay singletons.
+    Non-dissolved communities carry over with their ids (minus deleted
+    members), dissolved communities explode into singletons, pair seeds become
+    two-vertex communities, and added vertices outside any pair stay
+    singletons. Each new community takes an id above every id of ``p_t``.
 
     Aggregates are composed in O(|delta| + dissolved) time: a change internal
     to a community always dissolves it and a removed or added vertex dissolves
     every community it touches, so surviving communities keep their alpha and
-    only see beta shifts from cross-community weight changes.
+    only see beta shifts from cross-community weight changes. When ``p_t``
+    carries its community graph, the result carries an edit of it made the
+    same way: dissolved rows drop and each changed edge between two carried
+    communities shifts their cross weight. The edges of the vertices in new
+    communities stay pending, so that level 0 of the resumed optimization
+    counts them once, in the communities they end up in.
     """
     removed = d.removed_vertices
     added = d.added_vertices
@@ -215,28 +224,27 @@ def intermediate_partition(
             for c in (p_t.community_of(ec.u), p_t.community_of(ec.v)):
                 beta_shift[c] = beta_shift.get(c, 0.0) + ec.delta_w
 
-    assign: dict[int, int] = {}
+    assign = dict(p_t.assignment)
     members: dict[int, frozenset[int]] = {}
     alpha: dict[int, float] = {}
     beta: dict[int, float] = {}
-    next_id = 0
-
-    for c in sorted(p_t.community_ids):
+    for c in p_t.community_ids:
         if c in plan.dissolve:
             continue
         group = p_t.members(c)
         if removed:
             # only zero-strength vertices can be removed out of a surviving community
             group = group - removed
-        if not group:
-            continue
-        for v in group:
-            assign[v] = next_id
-        members[next_id] = group
-        alpha[next_id] = p_t.alpha(c)
-        beta[next_id] = p_t.beta(c) + beta_shift.get(c, 0.0)
-        next_id += 1
+            if not group:
+                continue
+        members[c] = group
+        alpha[c] = p_t.alpha(c)
+        beta[c] = p_t.beta(c) + beta_shift.get(c, 0.0)
+    for v in removed:
+        del assign[v]
 
+    top = max(p_t.community_ids, default=-1)
+    next_id = top + 1
     for c in sorted(plan.dissolve):
         for v in sorted(p_t.members(c)):
             if v in removed:
@@ -266,7 +274,18 @@ def intermediate_partition(
         beta[next_id] = g_t1.strength(i) + g_t1.strength(j)
         next_id += 1
 
-    return Partition(assign, members, alpha, beta)
+    edit = p_t.community_graph_edit(g_t1)
+    if edit is not None:
+        edit.drop(c for c in p_t.community_ids if c not in members)
+        for u, v, dw in d.edge_changes:
+            if u not in removed and v not in removed:
+                cu, cv = assign[u], assign[v]
+                if cu != cv and cu <= top and cv <= top:
+                    edit.shift(cu, cv, dw)
+        fresh = [c for c in members if c > top]
+        edit.add(fresh)
+        edit.pending = frozenset().union(*(members[c] for c in fresh))
+    return Partition(assign, members, alpha, beta, edit)
 
 
 def dynamo_update(
@@ -281,7 +300,13 @@ def dynamo_update(
     freed: those whose community was not carried over (members of dissolved
     communities and added vertices, which include every pair seed) and every
     surviving endpoint of a changed edge. Moves reach further from there.
+
+    Carried communities keep their ids. ``p_t``'s community graph is edited
+    into the result's rather than rebuilt; when ``p_t`` carries none, it is
+    built once with :func:`compress`.
     """
+    if p_t.community_graph is None:
+        p_t = p_t.with_community_graph(compress(g_t, p_t))
     plan = init(g_t1, g_t, p_t, d)
     intermediate = intermediate_partition(g_t1, p_t, plan, d)
     seeds = set(d.added_vertices).union(*(p_t.members(c) for c in plan.dissolve))
@@ -289,23 +314,12 @@ def dynamo_update(
     return louvain(g_t1, initial=intermediate, seeds=seeds - d.removed_vertices)
 
 
-def _cross_weight(g, side_a: frozenset[int], side_b: frozenset[int]) -> float:
-    """Total weight of edges between two disjoint vertex sets."""
-    if len(side_b) < len(side_a):
-        side_a, side_b = side_b, side_a
-    total = 0.0
-    for v in sorted(side_a):
-        for nbr, w in g.neighbors(v).items():
-            if nbr in side_b:
-                total += w
-    return total
-
-
 def _check_consistency(g_t1: WeightedGraph, g_t: WeightedGraph, d: GraphDelta) -> None:
     """Cheap validation that ``g_t + d`` matches ``g_t1``.
 
-    Checks vertex sets, the net weight of every changed edge, and the total
-    weight; O(|delta| + |V| + deg(removed)) rather than a full graph compare.
+    Checks vertex sets, that every changed edge joins vertices of either
+    snapshot, the net weight of every changed edge, and the total weight;
+    O(|delta| + |V| + deg(removed)) rather than a full graph compare.
     """
     expected_vertices = (set(g_t.vertices) | d.added_vertices) - d.removed_vertices
     if expected_vertices != set(g_t1.vertices):
@@ -313,6 +327,10 @@ def _check_consistency(g_t1: WeightedGraph, g_t: WeightedGraph, d: GraphDelta) -
 
     net: dict[tuple[int, int], float] = {}
     for u, v, dw in d.edge_changes:
+        for x in (u, v):
+            if not (g_t.has_vertex(x) or g_t1.has_vertex(x)):
+                raise InconsistentSnapshotsError(f"edge change references vertex {x}, "
+                                                 f"which is in neither snapshot")
         key = (u, v) if u < v else (v, u)
         net[key] = net.get(key, 0.0) + dw
 

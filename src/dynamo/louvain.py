@@ -14,9 +14,12 @@ follows the delta rather than the graph.
 
 Aggregation (:func:`compress`) yields another :class:`WeightedGraph`: one
 vertex per community, named by the community id, with the community's internal
-weight as self weight. Every level therefore runs the same local-moving code,
-and unfolding maps each original vertex through the community ids of the
-levels above it.
+weight as self weight. Every level therefore runs the same local-moving code.
+A community keeps its id through the levels above it unless a level merges it
+into another, so unfolding relabels only the members of merged communities.
+When the starting partition carries its community graph, local moving edits
+that graph for the vertices it moved, so the update path never rebuilds
+level 1 from the whole graph.
 
 Ties prefer the smallest community id and a move must gain more than
 :data:`EPSILON`, so detection is fully deterministic.
@@ -86,6 +89,7 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
 
     queued = set(g.vertices if seeds is None else seeds)
     queue = deque(sorted(queued))
+    moved: set[int] = set()
 
     neighbors_of = g.neighbors
     strength_of = g.strength
@@ -129,23 +133,36 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
         beta[b] += k_v
         members[b].add(v)
         assign[v] = b
+        moved.add(v)
         for u in sorted(nbrs):
             if assign[u] != b and u not in queued:
                 queue.append(u)
                 queued.add(u)
 
     frozen = {c: frozenset(s) for c, s in members.items()}
-    return Partition(assign, frozen, alpha, beta)
+    result = Partition(assign, frozen, alpha, beta)
+    edit = p.community_graph_edit(g)
+    if edit is None:
+        return result
+    edit.regroup(p, result, moved)
+    return result.with_community_graph(edit.finish(result))
 
 
 def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
             seeds: Optional[Iterable[int]] = None) -> Partition:
     """Full Louvain optimization from ``initial`` (all singletons by default).
 
-    Alternates local moving and compression until no further improvement is
-    possible, then unfolds the hierarchy back to the original vertices. The
-    returned partition's modularity never falls below the initial one, and
-    communities carry fresh ids 0..k-1 ordered by smallest member.
+    Alternates local moving and aggregation until a level moves nothing, then
+    unfolds the hierarchy back to the original vertices. The returned
+    partition's modularity never falls below the initial one, and it carries
+    its community graph: the last level graph.
+
+    Community ids are stable. Level 0 keeps ``initial``'s ids (vertex ids for
+    singletons), and a community that a higher level merges into another one
+    takes that one's id, so unfolding relabels only the members of merged
+    communities. When ``initial`` carries its community graph, level 0's
+    moves edit it into the level-1 graph instead of :func:`compress`
+    rebuilding it.
 
     ``seeds`` is the queue that level 0's local moving starts from (all
     vertices by default); an empty set leaves level 0 as ``initial`` has it.
@@ -155,55 +172,50 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
         raise EmptyGraphError("detection undefined for graphs with zero total weight")
 
     if initial is None:
-        level_p = Partition.singletons(g)
-    else:
-        if set(initial.assignment) != set(g.vertices):
-            raise UnknownVertexError("initial partition does not cover the graph")
-        level_p = initial
+        initial = Partition.singletons(g)
+    elif set(initial.assignment) != set(g.vertices):
+        raise UnknownVertexError("initial partition does not cover the graph")
     if seeds is not None:
         seeds = set(seeds)
         stray = seeds - g.vertices
         if stray:
             raise UnknownVertexError(f"seed vertex {min(stray)} is not in the graph")
 
+    bottom = level_p = local_moving_pass(g, initial, seeds)
     level_graph = g
-    to_level = {v: v for v in g.vertices}
+    merged: dict[int, int] = {}  # level-0 community -> its id at the current level
+    while level_p.num_communities < level_graph.num_vertices:
+        carried = level_p.community_graph
+        level_graph = compress(level_graph, level_p) if carried is None else carried
+        level_p = local_moving_pass(level_graph, Partition.singletons(level_graph))
+        moves = {x: c for x, c in level_p.assignment.items() if x != c}
+        merged = {c: moves.get(x, x) for c, x in merged.items()} | {
+            x: c for x, c in moves.items() if x not in merged}
+    if level_p is bottom:  # level 0 left every vertex on its own
+        carried = bottom.community_graph
+        level_graph = compress(g, bottom) if carried is None else carried
 
-    while True:
-        level_p = local_moving_pass(level_graph, level_p, seeds)
-        seeds = None
-        if level_p.num_communities == level_graph.num_vertices:
-            break
-        to_level = {v: level_p.community_of(lv) for v, lv in to_level.items()}
-        level_graph = compress(level_graph, level_p)
-        level_p = Partition.singletons(level_graph)
-
-    return _unfold(g, to_level, level_p)
+    return _unfold(bottom, {c: x for c, x in merged.items() if c != x}, level_p, level_graph)
 
 
-def _unfold(g, to_level: dict[int, int], level_p: Partition) -> Partition:
-    """Project the final-level partition back onto the original vertices.
+def _unfold(bottom: Partition, merged: dict[int, int], top: Partition,
+            top_graph: WeightedGraph) -> Partition:
+    """Relabel the members of each level-0 community in ``merged`` to its final id.
 
-    Compression preserves per-community aggregates exactly, so the final
+    Aggregation preserves per-community aggregates exactly, so the final
     level's alpha/beta transfer to the unfolded communities unchanged.
     """
-    assignment = _renumber({v: level_p.community_of(lv) for v, lv in to_level.items()})
-    members: dict[int, set[int]] = {}
-    level_community: dict[int, int] = {}
-    for v, c in assignment.items():
-        members.setdefault(c, set()).add(v)
-        level_community[c] = level_p.community_of(to_level[v])
-    frozen = {c: frozenset(s) for c, s in members.items()}
-    alpha = {c: level_p.alpha(lc) for c, lc in level_community.items()}
-    beta = {c: level_p.beta(lc) for c, lc in level_community.items()}
-    return Partition(assignment, frozen, alpha, beta)
-
-
-def _renumber(assignment: dict[int, int]) -> dict[int, int]:
-    """Relabel community ids to 0..k-1 in ascending order of smallest member."""
-    smallest: dict[int, int] = {}
-    for v in sorted(assignment):
-        smallest.setdefault(assignment[v], v)
-    order = sorted(smallest, key=smallest.get)
-    relabel = {c: i for i, c in enumerate(order)}
-    return {v: relabel[c] for v, c in assignment.items()}
+    if not merged:
+        return bottom.with_community_graph(top_graph)
+    assignment = dict(bottom.assignment)
+    members = {c: bottom.members(c) for c in bottom.community_ids if c not in merged}
+    parts: dict[int, list[frozenset[int]]] = {}
+    for c, final in merged.items():
+        parts.setdefault(final, []).append(bottom.members(c))
+        for v in bottom.members(c):
+            assignment[v] = final
+    for final, groups in parts.items():
+        members[final] = members.get(final, frozenset()).union(*groups)
+    alpha = {c: top.alpha(c) for c in top.community_ids}
+    beta = {c: top.beta(c) for c in top.community_ids}
+    return Partition(assignment, members, alpha, beta, top_graph)

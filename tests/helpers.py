@@ -9,7 +9,7 @@ truth for the production code paths.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -67,6 +67,55 @@ def residual_movers(g, p) -> int:
         if gains and max(gains) > EPSILON * m:
             movers += 1
     return movers
+
+
+def community_graph_mismatch(g, p) -> Optional[str]:
+    """Why ``p``'s carried community graph differs from the one ``g`` defines, or None.
+
+    The reference is what ``compress(g, p)`` builds, summed here edge by edge:
+    one vertex per community, cross weights between communities, twice the
+    internal weight (plus members' self weights) as self weight and the sum
+    of member strengths as strength. Key sets must match exactly, so a float
+    residue left where a community pair lost its last edge shows; each weight
+    must match within 1e-9 relative.
+    """
+    h = p.community_graph
+    if h is None:
+        return "no community graph"
+    labels = p.assignment
+    cross: dict[int, dict[int, float]] = {c: {} for c in p.community_ids}
+    self_w = {c: 0.0 for c in p.community_ids}
+    strength = {c: 0.0 for c in p.community_ids}
+    for v in g.vertices:
+        self_w[labels[v]] += g.self_weight(v)
+        strength[labels[v]] += g.strength(v)
+    for u, v, w in g.edges():
+        cu, cv = labels[u], labels[v]
+        if cu == cv:
+            self_w[cu] += 2.0 * w
+        else:
+            cross[cu][cv] = cross[cu].get(cv, 0.0) + w
+            cross[cv][cu] = cross[cv].get(cu, 0.0) + w
+
+    def far(a: float, b: float) -> bool:
+        return abs(a - b) > 1e-9 * max(1.0, abs(b))
+
+    if set(h.vertices) != set(cross):
+        return f"vertices {sorted(set(h.vertices) ^ set(cross))[:5]} differ"
+    for c, row in cross.items():
+        got = h.neighbors(c)
+        if set(got) != set(row):
+            return f"neighbours of {c} differ: {sorted(set(got) ^ set(row))[:5]}"
+        for d, w in row.items():
+            if far(got[d], w):
+                return f"cross weight ({c}, {d}) is {got[d]!r}, not {w!r}"
+        if far(h.self_weight(c), self_w[c]):
+            return f"self weight of {c} is {h.self_weight(c)!r}, not {self_w[c]!r}"
+        if far(h.strength(c), strength[c]):
+            return f"strength of {c} is {h.strength(c)!r}, not {strength[c]!r}"
+    if far(h.total_weight, g.total_weight):
+        return f"total weight {h.total_weight!r}, not {g.total_weight!r}"
+    return None
 
 
 def snapshot_graphs(snapshots) -> list[WeightedGraph]:

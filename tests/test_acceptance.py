@@ -35,7 +35,7 @@ from dynamo import (
 )
 from dynamo.cli import main as cli_main
 from dynamo.synthgen import Churn, GenConfig, generate
-from helpers import modularity_pairwise, random_graph, snapshot_graphs
+from helpers import community_graph_mismatch, modularity_pairwise, random_graph, snapshot_graphs
 
 BENCH_SEEDS = range(20)
 BENCH_CONFIG = dict(num_communities=4, community_size=50, p_in=0.3, p_out=0.01,
@@ -49,7 +49,7 @@ def _report(criterion: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """Twenty seeded sequences with repeat-5 timing plus aggregate oracles."""
+    """Twenty seeded sequences with repeat-5 timing plus aggregate and community-graph oracles."""
     oracle_failures = []
 
     def check(index, graph, algorithm, partition):
@@ -64,6 +64,9 @@ def benchmark_runs():
         q = modularity(graph, partition)
         if abs(q - modularity_pairwise(graph, partition.assignment)) > 1e-9:
             oracle_failures.append((index, "modularity"))
+        mismatch = community_graph_mismatch(graph, partition)
+        if mismatch is not None:
+            oracle_failures.append((index, mismatch))
 
     start = time.perf_counter()
     per_sequence = []

@@ -1,4 +1,5 @@
 import argparse
+import random
 import re
 import shlex
 import subprocess
@@ -59,6 +60,34 @@ class TestDetect:
         assert main(["detect", "--input", str(event_file), "--output", str(out)]) == 0
         assert main(["detect", "--input", str(event_file)]) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def planted_events() -> str:
+    """Three shuffled blocks of 8 on vertices 0..23, weighted, all at time 0."""
+    rng = random.Random(11)
+    order = list(range(24))
+    rng.shuffle(order)
+    block = {v: i // 8 for i, v in enumerate(order)}
+    return "".join(f"{u}\t{v}\t{rng.choice([1, 2, 3])}.0\t0\n"
+                   for u in range(24) for v in range(u + 1, 24)
+                   if rng.random() < (0.7 if block[u] == block[v] else 0.04))
+
+
+# `dynamo detect` output on planted_events() as of the release before
+# community ids became stable; label of vertex 0, 1, ..., 23
+PLANTED_LABELS = [0, 1, 1, 0, 1, 2, 2, 1, 0, 1, 1, 0, 1, 0, 2, 1, 2, 2, 2, 0, 0, 2, 0, 2]
+
+
+class TestDetectLabels:
+    def test_canonical_labels_match_earlier_release(self, tmp_path, capsys):
+        path = tmp_path / "planted.tsv"
+        path.write_text(planted_events())
+        assert main(["detect", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == "".join(f"{v}\t{c}\n" for v, c in enumerate(PLANTED_LABELS))
+        # labels are 0..k-1 in order of each community's smallest member
+        first_seen = list(dict.fromkeys(PLANTED_LABELS))
+        assert first_seen == list(range(len(first_seen)))
 
 
 class TestMetrics:

@@ -16,7 +16,8 @@ from dynamo import (
     modularity,
     partition_rebuild_aggregates,
 )
-from helpers import modularity_pairwise, random_graph
+from dynamo.synthgen import generate
+from helpers import PLANTED_5K, modularity_pairwise, random_graph
 
 TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
@@ -91,6 +92,28 @@ class TestApplyDelta:
         apply_delta(g, GraphDelta(edge_changes=(EdgeChange(0, 3, 2.0),),
                                   added_vertices=frozenset({9})))
         assert g.copy_adjacency() == before
+
+    def test_shares_untouched_rows_and_matches_rebuild_on_planted_stream(self):
+        # every snapshot of the planted 5k stream: strengths and m are
+        # bit-identical to a graph built from scratch, the input is unchanged,
+        # and rows the delta does not touch are shared, not copied
+        g = WeightedGraph.empty()
+        for snap in generate(PLANTED_5K).snapshots:
+            before = g.copy_adjacency()
+            before_strength = {v: g.strength(v) for v in g.vertices}
+            before_m = g.total_weight
+            g1 = apply_delta(g, snap.delta)
+            fresh = WeightedGraph(g1.copy_adjacency())
+            assert g1.copy_adjacency() == fresh.copy_adjacency()
+            assert all(g1.strength(v) == fresh.strength(v) for v in fresh.vertices)
+            assert g1.total_weight == fresh.total_weight
+            assert g.copy_adjacency() == before
+            assert {v: g.strength(v) for v in g.vertices} == before_strength
+            assert g.total_weight == before_m
+            touched = {x for ec in snap.delta.edge_changes for x in (ec.u, ec.v)}
+            assert all(g1.neighbors(v) is g.neighbors(v)
+                       for v in g.vertices if v not in touched)
+            g = g1
 
     def test_decrease_to_zero_deletes_edge(self):
         g = WeightedGraph.from_edges([(0, 1, 1.5), (1, 2, 1.0)])

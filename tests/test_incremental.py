@@ -28,7 +28,13 @@ from dynamo import (
     partition_rebuild_aggregates,
 )
 from dynamo.synthgen import Churn, GenConfig, generate
-from helpers import PLANTED_5K, modularity_pairwise, random_graph, residual_movers
+from helpers import (
+    PLANTED_5K,
+    community_graph_mismatch,
+    modularity_pairwise,
+    random_graph,
+    residual_movers,
+)
 
 TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
@@ -41,20 +47,23 @@ def two_triangles():
 
 
 class CountingGraph(WeightedGraph):
-    """A copy of a graph that counts the vertices local moving evaluates.
+    """A copy of a graph that counts its ``neighbors`` calls.
 
-    ``local_moving_pass`` reads each popped vertex's neighbors exactly once,
-    so its ``neighbors`` calls count evaluations. Aggregated levels are plain
-    graphs built by ``compress``, so only level 0 is counted.
+    ``reads`` counts every call. ``evaluated`` counts those from
+    ``local_moving_pass``, which reads each popped vertex's neighbors exactly
+    once, so they count evaluations. Aggregated levels are other graphs, so
+    only level 0 is counted.
     """
 
-    __slots__ = ("evaluated",)
+    __slots__ = ("evaluated", "reads")
 
     def __init__(self, g):
         super().__init__({v: dict(g.neighbors(v)) for v in g.vertices})
         self.evaluated = 0
+        self.reads = 0
 
     def neighbors(self, u):
+        self.reads += 1
         if sys._getframe(1).f_code.co_name == "local_moving_pass":
             self.evaluated += 1
         return super().neighbors(u)
@@ -292,6 +301,13 @@ class TestInitPlan:
             assert inter.alpha(c) == pytest.approx(rebuilt.alpha(c), abs=1e-9)
             assert inter.beta(c) == pytest.approx(rebuilt.beta(c), abs=1e-9)
 
+    @pytest.mark.parametrize("dw", [1e-9, 1.0])
+    def test_edge_to_vertex_in_neither_snapshot_rejected(self, dw):
+        # a weight under the tolerance of the weight checks must not slip through
+        g, p = two_triangles()
+        with pytest.raises(InconsistentSnapshotsError, match="vertex 9"):
+            init(g, g, p, GraphDelta(edge_changes=(EdgeChange(0, 9, dw),)))
+
     def test_inconsistent_snapshots_rejected(self):
         g, p = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
@@ -322,6 +338,8 @@ class TestIntermediatePartition:
             for c in inter.community_ids:
                 assert inter.alpha(c) == pytest.approx(rebuilt.alpha(c), abs=1e-9)
                 assert inter.beta(c) == pytest.approx(rebuilt.beta(c), abs=1e-9)
+            # its pending community-graph edit, finished on first access
+            assert community_graph_mismatch(g2, inter) is None
 
     def test_deleted_vertices_dropped(self):
         g, p = three_triangles_with_bridges()
@@ -412,6 +430,67 @@ class TestDynamoUpdate:
         # a full sweep would evaluate all 5,000 vertices at least once
         assert 2 <= counting.evaluated <= 50
         assert out.as_sets() == p.as_sets()
+
+    def test_cross_deletion_reads_few_rows(self, planted_5k):
+        # every neighbors read of the update, on both snapshots: rebuilding the
+        # level-1 graph from the new snapshot alone would read all 5,000 rows
+        g, p = planted_5k
+        u, v, w = next((u, v, w) for u, v, w in sorted(g.edges())
+                       if p.community_of(u) != p.community_of(v))
+        d = GraphDelta(edge_changes=(EdgeChange(u, v, -w),))
+        g0, g1 = CountingGraph(g), CountingGraph(apply_delta(g, d))
+        out = dynamo_update(g1, g0, p, d)
+        assert g0.reads + g1.reads <= 100
+        assert out.as_sets() == p.as_sets()
+        assert community_graph_mismatch(g1, out) is None
+
+    def test_carried_communities_keep_their_ids(self):
+        g, p = three_triangles_with_bridges()
+        d = GraphDelta(edge_changes=(EdgeChange(6, 7, 1.0),))  # dissolves C = {6, 7, 8}
+        g2 = apply_delta(g, d)
+        out = dynamo_update(g2, g, p, d)
+        assert out.as_sets() == p.as_sets()
+        assert all(out.community_of(v) == p.community_of(v) for v in range(6))
+        assert out.community_of(6) > max(p.community_ids)
+        assert community_graph_mismatch(g2, out) is None
+
+    def test_partition_without_community_graph(self, planted_5k):
+        # a partition built by the plain constructor gets its community graph
+        # built once; the update is the same as from the carrying partition
+        g, p = planted_5k
+        bare = Partition(dict(p.assignment), {c: p.members(c) for c in p.community_ids},
+                         {c: p.alpha(c) for c in p.community_ids},
+                         {c: p.beta(c) for c in p.community_ids})
+        assert bare.community_graph is None
+        u, v, w = next((u, v, w) for u, v, w in sorted(g.edges())
+                       if p.community_of(u) == p.community_of(v))
+        d = GraphDelta(edge_changes=(EdgeChange(u, v, 2.0),))
+        g2 = apply_delta(g, d)
+        out = dynamo_update(g2, g, bare, d)
+        assert out.assignment == dynamo_update(g2, g, p, d).assignment
+        assert community_graph_mismatch(g2, out) is None
+
+    def test_update_mutates_none_of_its_inputs(self):
+        scenario = generate(GenConfig(
+            seed=5, num_communities=4, community_size=15, p_in=0.4, p_out=0.03,
+            num_snapshots=12, churn=Churn(icea=1, ccea=2, iced=1, cced=2,
+                                          vertex_add=1, vertex_del=1)))
+        graphs = scenario.graphs
+
+        def state(g, g1, p):
+            h = p.community_graph
+            return (g.copy_adjacency(), {x: g.strength(x) for x in g.vertices},
+                    g1.copy_adjacency(), dict(p.assignment),
+                    {c: (p.members(c), p.alpha(c), p.beta(c)) for c in p.community_ids},
+                    h.copy_adjacency(), {c: h.self_weight(c) for c in h.vertices})
+
+        p = louvain(graphs[0])
+        for k in range(1, len(graphs)):
+            before = state(graphs[k - 1], graphs[k], p)
+            out = dynamo_update(graphs[k], graphs[k - 1], p, scenario.snapshots[k].delta)
+            assert state(graphs[k - 1], graphs[k], p) == before
+            assert community_graph_mismatch(graphs[k], out) is None
+            p = out
 
     def test_growth_stream_leaves_few_residual_movers(self):
         # addition-only churn like the growth-events benchmark stream

@@ -14,7 +14,7 @@ from dynamo import (
     modularity,
     partition_rebuild_aggregates,
 )
-from helpers import modularity_pairwise, random_graph
+from helpers import community_graph_mismatch, modularity_pairwise, random_graph
 
 TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
@@ -194,10 +194,18 @@ class TestLouvain:
         g = random_graph(rng, 30, 0.3)
         assert louvain(g) == louvain(g)
 
-    def test_fresh_community_ids(self):
+    def test_community_ids_are_stable(self):
+        # level 0 keeps the initial ids, and a community merged at a higher
+        # level takes the id of the one it joins: nothing is renumbered
         g = bridged(0.5)
-        p = louvain(g)
-        assert sorted(p.community_ids) == [0, 1]
+        initial = partition_rebuild_aggregates(g, {0: 7, 1: 7, 2: 9, 3: 12, 4: 12, 5: 13})
+        out = louvain(g, initial=initial, seeds=set())
+        assert out.as_sets() == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
+        assert set(out.community_ids) <= {7, 9, 12, 13}
+        assert community_graph_mismatch(g, out) is None
+        again = louvain(g, initial=out)
+        assert again.assignment == out.assignment
+        assert community_graph_mismatch(g, again) is None
 
     def test_empty_graph_error(self):
         g = WeightedGraph.from_edges([], vertices=[0, 1])
@@ -232,3 +240,4 @@ class TestLouvain:
                 assert p.beta(c) == pytest.approx(rebuilt.beta(c), abs=1e-9)
             assert modularity(g, p) == pytest.approx(
                 modularity_pairwise(g, p.assignment), abs=1e-9)
+            assert community_graph_mismatch(g, p) is None

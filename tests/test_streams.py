@@ -3,7 +3,8 @@
 Hypothesis grows a snapshot stream one delta at a time. After every step the
 whole stream so far runs through :func:`run_benchmark` with both pipelines, and
 every partition it yields is checked against independent oracles: rebuilt
-aggregates and the pairwise modularity of ``helpers``. An invalid delta must
+aggregates, the community graph it carries and the pairwise modularity of
+``helpers``. An invalid delta must
 fail with a typed :class:`DynamoError` and is then dropped from the stream.
 """
 
@@ -22,7 +23,7 @@ from dynamo import (
     run_benchmark,
 )
 from dynamo.ingest import Snapshot
-from helpers import modularity_pairwise
+from helpers import community_graph_mismatch, modularity_pairwise
 
 WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.5])
 
@@ -51,6 +52,8 @@ class DeltaStream(RuleBasedStateMachine):
         for c in p.community_ids:
             assert p.alpha(c) == pytest.approx(rebuilt.alpha(c), abs=1e-9)
             assert p.beta(c) == pytest.approx(rebuilt.beta(c), abs=1e-9)
+        if graph.total_weight > 0:  # zero-weight snapshots get plain singletons
+            assert community_graph_mismatch(graph, p) is None, community_graph_mismatch(graph, p)
         self.expected_q[index, name] = (
             modularity_pairwise(graph, p.assignment) if graph.total_weight > 0 else None)
         self.latest[name] = p
