@@ -126,8 +126,8 @@ def _cmd_run(args) -> int:
     )
 
     if args.input:
-        events = parse_edge_events(args.input)
-        snapshots = slice_snapshots(events, args.interval, args.t0)
+        # no name holds the parsed events, so they are freed once sliced
+        snapshots = slice_snapshots(parse_edge_events(args.input), args.interval, args.t0)
     else:
         snapshots = load_delta_dir(args.deltas_dir)
 

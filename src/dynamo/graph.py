@@ -602,7 +602,7 @@ def modularity(g, p: Partition) -> float:
     m = g.total_weight
     if m <= 0.0:
         raise EmptyGraphError("modularity undefined for graphs with zero total weight")
-    if set(p.assignment) != set(g.vertices):
+    if p.assignment.keys() != g.vertices:
         raise UnknownVertexError("partition does not cover exactly the graph's vertices")
     two_m = 2.0 * m
     total = 0.0

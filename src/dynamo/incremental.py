@@ -321,8 +321,8 @@ def _check_consistency(g_t1: WeightedGraph, g_t: WeightedGraph, d: GraphDelta) -
     snapshot, the net weight of every changed edge, and the total weight;
     O(|delta| + |V| + deg(removed)) rather than a full graph compare.
     """
-    expected_vertices = (set(g_t.vertices) | d.added_vertices) - d.removed_vertices
-    if expected_vertices != set(g_t1.vertices):
+    expected_vertices = (g_t.vertices | d.added_vertices) - d.removed_vertices
+    if expected_vertices != g_t1.vertices:
         raise InconsistentSnapshotsError("vertex sets disagree with the delta")
 
     net: dict[tuple[int, int], float] = {}

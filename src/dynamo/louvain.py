@@ -74,7 +74,8 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
     put otherwise; ties prefer the smallest community id. A vertex that moves
     to community ``b`` appends, in ascending id order, each neighbor outside
     ``b`` that is not queued already. The phase ends when the queue is empty.
-    Emptied communities are dropped.
+    Emptied communities are dropped, and a community that no vertex left or
+    joined keeps ``p``'s member set.
     """
     m = g.total_weight
     if m <= 0.0:
@@ -85,7 +86,7 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
     assign = dict(p.assignment)
     alpha = {c: p.alpha(c) for c in p.community_ids}
     beta = {c: p.beta(c) for c in p.community_ids}
-    members = {c: set(p.members(c)) for c in p.community_ids}
+    size = {c: len(p.members(c)) for c in p.community_ids}
 
     queued = set(g.vertices if seeds is None else seeds)
     queue = deque(sorted(queued))
@@ -125,13 +126,12 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
         b = best_c
         alpha[a] -= 2.0 * w_a + s_v
         beta[a] -= k_v
-        group = members[a]
-        group.remove(v)
-        if not group:
-            del members[a], alpha[a], beta[a]
+        size[a] -= 1
+        if not size[a]:
+            del size[a], alpha[a], beta[a]
         alpha[b] += 2.0 * w_to[b] + s_v
         beta[b] += k_v
-        members[b].add(v)
+        size[b] += 1
         assign[v] = b
         moved.add(v)
         for u in sorted(nbrs):
@@ -139,8 +139,21 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
                 queue.append(u)
                 queued.add(u)
 
-    frozen = {c: frozenset(s) for c, s in members.items()}
-    result = Partition(assign, frozen, alpha, beta)
+    members = {c: p.members(c) for c in size}
+    lost: dict[int, list[int]] = {}
+    gained: dict[int, list[int]] = {}
+    before = p.assignment
+    for v in moved:
+        a, b = before[v], assign[v]
+        if a != b:
+            if a in members:  # an emptied community needs no new set
+                lost.setdefault(a, []).append(v)
+            gained.setdefault(b, []).append(v)
+    for c, group in lost.items():
+        members[c] = members[c].difference(group)
+    for c, group in gained.items():
+        members[c] = members[c].union(group)
+    result = Partition(assign, members, alpha, beta)
     edit = p.community_graph_edit(g)
     if edit is None:
         return result
@@ -173,7 +186,7 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
 
     if initial is None:
         initial = Partition.singletons(g)
-    elif set(initial.assignment) != set(g.vertices):
+    elif initial.assignment.keys() != g.vertices:
         raise UnknownVertexError("initial partition does not cover the graph")
     if seeds is not None:
         seeds = set(seeds)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Union
 
-import numpy as np
-
 from .errors import EmptyGraphError, GraphTooLargeError, VertexSetMismatchError
 from .graph import Partition, modularity  # noqa: F401  (modularity re-exported here)
 
@@ -114,6 +112,7 @@ def exhaustive_best_partition(g) -> tuple[Partition, float]:
                                  f"{_EXHAUSTIVE_MAX_VERTICES}")
     if g.total_weight <= 0.0:
         raise EmptyGraphError("modularity undefined for graphs with zero total weight")
+    import numpy as np  # only this oracle needs numpy, so a `dynamo run` never loads it
 
     index = {v: i for i, v in enumerate(verts)}
     adjacency = np.zeros((n, n))
@@ -146,6 +145,7 @@ def exhaustive_best_partition(g) -> tuple[Partition, float]:
 @lru_cache(maxsize=8)
 def _all_partition_labels(n: int) -> np.ndarray:
     """All restricted growth strings of length ``n``, lexicographically ordered."""
+    import numpy as np  # imported on first use, like in exhaustive_best_partition
     labels = np.zeros((1, 1), dtype=np.int8)
     highest = np.zeros(1, dtype=np.int8)
     for _ in range(n - 1):

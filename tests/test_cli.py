@@ -1,4 +1,5 @@
 import argparse
+import os
 import random
 import re
 import shlex
@@ -15,6 +16,7 @@ from dynamo.synthgen import Churn, GenConfig, generate
 
 TRIANGLE_EVENTS = "0\t1\t0\n1\t2\t0\n0\t2\t0\n3\t4\t0\n4\t5\t0\n3\t5\t0\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def run_cli(*args):
@@ -326,6 +328,20 @@ class TestEntrypoint:
                                "--interval", "10", "--algorithms", "louvain")
         assert code == 0
         assert out.startswith("snapshot,algorithm,")
+
+    def test_run_never_imports_numpy(self, tmp_path):
+        # numpy serves only the exhaustive oracle; a run must not pay for loading it
+        source = tmp_path / "scenario"
+        generate(GenConfig(seed=1, num_communities=2, community_size=8, p_in=0.5,
+                           p_out=0.08, num_snapshots=3)).write(source)
+        script = ("import sys, dynamo, dynamo.cli\n"
+                  "code = dynamo.cli.main(['run', '--deltas-dir', sys.argv[1],\n"
+                  "                        '--algorithms', 'dynamo', '--output', sys.argv[2]])\n"
+                  "print(code, 'numpy' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(source / "deltas"), str(tmp_path / "r.csv")],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
 
 
 def readme_cli_section():

@@ -308,6 +308,15 @@ class TestInitPlan:
         with pytest.raises(InconsistentSnapshotsError, match="vertex 9"):
             init(g, g, p, GraphDelta(edge_changes=(EdgeChange(0, 9, dw),)))
 
+    def test_vertex_sets_must_follow_the_delta(self):
+        g, p = two_triangles()
+        grown = apply_delta(g, GraphDelta(added_vertices=frozenset({6})))
+        for g_t1, d in ((grown, GraphDelta.empty()),
+                        (g, GraphDelta(added_vertices=frozenset({6}))),
+                        (g, GraphDelta(removed_vertices=frozenset({5})))):
+            with pytest.raises(InconsistentSnapshotsError, match="vertex sets disagree"):
+                init(g_t1, g, p, d)
+
     def test_inconsistent_snapshots_rejected(self):
         g, p = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
@@ -443,6 +452,17 @@ class TestDynamoUpdate:
         assert g0.reads + g1.reads <= 100
         assert out.as_sets() == p.as_sets()
         assert community_graph_mismatch(g1, out) is None
+
+    def test_untouched_communities_share_member_sets(self, planted_5k):
+        # local moving rebuilds only the member sets its movers left or joined
+        g, p = planted_5k
+        u, v, w = next((u, v, w) for u, v, w in sorted(g.edges())
+                       if p.community_of(u) != p.community_of(v))
+        d = GraphDelta(edge_changes=(EdgeChange(u, v, -w),))
+        out = dynamo_update(apply_delta(g, d), g, p, d)
+        untouched = [c for c in p.community_ids if u not in p.members(c) and v not in p.members(c)]
+        assert len(untouched) == p.num_communities - 2
+        assert all(out.members(c) is p.members(c) for c in untouched)
 
     def test_carried_communities_keep_their_ids(self):
         g, p = three_triangles_with_bridges()

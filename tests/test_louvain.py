@@ -212,6 +212,15 @@ class TestLouvain:
         with pytest.raises(EmptyGraphError):
             louvain(g)
 
+    @pytest.mark.parametrize("vertices", [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5, 6],
+                                          [0, 1, 2, 3, 4, 6]])
+    def test_initial_must_cover_graph(self, vertices):
+        # missing, extra, and as many vertices as the graph but not the same ones
+        g = bridged(0.5)
+        other = WeightedGraph.from_edges([], vertices=vertices)
+        with pytest.raises(UnknownVertexError, match="initial partition does not cover"):
+            louvain(g, initial=Partition.singletons(other))
+
     def test_unknown_seed_raises(self):
         g = bridged(0.5)
         with pytest.raises(UnknownVertexError):
