@@ -24,7 +24,7 @@ from .graph import GraphDelta, Partition, WeightedGraph, apply_delta, modularity
 from .incremental import dynamo_update
 from .ingest import Snapshot, SnapshotReport
 from .louvain import louvain
-from .metrics import ari, nmi
+from .metrics import ConfusionTable
 
 ALGORITHMS = ("louvain", "dynamo")
 
@@ -79,8 +79,8 @@ def run_benchmark(
             partition = partitions[name]
             score_nmi = score_ari = None
             if name == "dynamo" and "louvain" in pipelines:
-                score_nmi = nmi(partitions["louvain"], partition)
-                score_ari = ari(partitions["louvain"], partition)
+                table = ConfusionTable.from_partitions(partitions["louvain"], partition)
+                score_nmi, score_ari = table.nmi(), table.ari()
             cumulative = rows[name][-1].cumulative_elapsed_ns if rows[name] else 0
             rows[name].append(SnapshotReport(
                 snapshot_index=snap.index,

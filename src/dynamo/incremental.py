@@ -1,10 +1,11 @@
 """Incremental community updates on evolving snapshots.
 
 Given the previous snapshot, its partition, and the batch of changes leading to
-the next snapshot, the updater classifies every change, builds an initialization
-plan (communities to dissolve into singletons plus two-vertex seed communities),
-materializes the intermediate partition, and lets the greedy optimizer finish
-from there instead of from scratch.
+the next snapshot, the updater classifies every change once, builds an
+initialization plan (communities to dissolve into singletons, two-vertex seed
+communities, and the beta shifts of communities that carry over), materializes
+the intermediate partition, and lets the greedy optimizer finish from there
+instead of from scratch.
 
 Change handling, with all thresholds evaluated against the pre-change snapshot:
 
@@ -12,26 +13,30 @@ Change handling, with all thresholds evaluated against the pre-change snapshot:
   seed the two endpoints as a pair (testing whether a bi-split wins would mean
   scoring every split of the community, so local moving finds the split);
 * cross-community addition / weight increase: merge test against the closed-form
-  threshold (see :func:`ccea_merge_threshold`); below it nothing changes, above
-  it both communities dissolve and the endpoints seed a pair;
+  threshold (see :func:`ccea_merge_threshold`); below it only the two
+  communities' beta moves, above it both communities dissolve and the
+  endpoints seed a pair;
 * intra-community deletion / weight decrease: dissolve the touched community and
   every community adjacent to either endpoint;
-* cross-community deletion / weight decrease: no plan entries (the structure
-  only gets stronger);
+* cross-community deletion / weight decrease: only the two communities' beta
+  moves (the structure only gets stronger);
 * vertex addition: dissolve the communities adjacent to the new vertex and seed
   it with its heaviest neighbor (smallest id on ties);
-* vertex deletion: dissolve the vertex's community and all neighbor communities.
+* vertex deletion: dissolve the vertex's community and all neighbor
+  communities; a removed vertex whose only edges are in the delta dissolves
+  just its own community, and one with no edge in either place (isolated)
+  leaves its community alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .errors import InconsistentSnapshotsError, SameCommunityError
 from .graph import (
-    EdgeChange,
     GraphDelta,
     Partition,
     VertexAddition,
@@ -58,11 +63,14 @@ class InitPlan:
 
     ``dissolve`` lists community ids to explode into singletons; ``pair_seeds``
     lists unordered vertex pairs to create as fresh two-vertex communities. A
-    vertex occurs in at most one pair.
+    vertex occurs in at most one pair. ``beta_shift`` maps a community id to
+    the summed weight change of the cross-community changes that touch it and
+    merge nothing; it is what a carried community's beta moves by.
     """
 
     dissolve: frozenset[int] = frozenset()
     pair_seeds: frozenset[frozenset[int]] = frozenset()
+    beta_shift: Mapping[int, float] = field(default_factory=dict, hash=False)
 
 
 def classify(g_t: WeightedGraph, p_t: Partition, change, delta: GraphDelta) -> ChangeKind:
@@ -117,17 +125,20 @@ def init(
     p_t: Partition,
     d: GraphDelta,
 ) -> InitPlan:
-    """Build the initialization plan for one snapshot delta.
+    """Build the initialization plan for one snapshot delta in one pass.
 
-    Edge changes are processed in stored (file) order; dissolve sets accumulate
-    by union, and a later pair seed involving an already-seeded vertex replaces
-    that vertex's earlier pair. Incident edges of removed vertices are expanded
-    into implicit deletions so vertex-deletion handling always triggers.
+    Each removed or added vertex is handled once, and each edge change is
+    classified once, in stored (file) order. Dissolve sets accumulate by union;
+    an added vertex is paired with its heaviest neighbour at each of its edge
+    changes, and a later pair seed involving an already-seeded vertex replaces
+    that vertex's earlier pair. A cross-community change that merges nothing
+    adds its weight change to both endpoint communities' ``beta_shift``.
     """
     _check_consistency(g_t1, g_t, d)
 
     dissolve: set[int] = set()
     pair_of: dict[int, frozenset[int]] = {}
+    beta_shift: dict[int, float] = {}
 
     def seed_pair(i: int, j: int) -> None:
         for old in (pair_of.get(i), pair_of.get(j)):
@@ -140,40 +151,27 @@ def init(
 
     def dissolve_around(k: int) -> None:
         dissolve.add(p_t.community_of(k))
-        for l in g_t.neighbors(k):
-            dissolve.add(p_t.community_of(l))
+        dissolve.update(p_t.community_of(l) for l in g_t.neighbors(k))
 
-    def handle_vertex_add(k: int) -> None:
-        w_max = 0.0
-        best = None
+    ends = {x for ec in d.edge_changes for x in (ec.u, ec.v)}
+    for k in sorted(d.removed_vertices):
+        if g_t.neighbors(k) or k in ends:  # an isolated vertex leaves its community alone
+            dissolve_around(k)
+    heaviest: dict[int, int] = {}
+    for k in d.added_vertices & ends:
         nbrs = g_t1.neighbors(k)
-        for l in sorted(nbrs):
-            if g_t.has_vertex(l):
-                dissolve.add(p_t.community_of(l))
-            # else: the neighbor is itself new and has no community to dissolve
-            if nbrs[l] > w_max:
-                w_max = nbrs[l]
-                best = l
-        if best is not None:
-            seed_pair(k, best)
+        dissolve.update(p_t.community_of(l) for l in nbrs if g_t.has_vertex(l))
+        if nbrs:  # max keeps the first of equal weights: the smallest id
+            heaviest[k] = max(sorted(nbrs), key=nbrs.__getitem__)
 
-    added = d.added_vertices
-    removed = d.removed_vertices
-    changed_edges = list(d.edge_changes)
-    for k in sorted(removed):
-        for l in sorted(g_t.neighbors(k)):
-            changed_edges.append(EdgeChange(k, l, -g_t.weight(k, l)))
-
-    for change in changed_edges:
+    for change in d.edge_changes:
         kind = classify(g_t, p_t, change, d)
         u, v, dw = change
         if kind is ChangeKind.VERTEX_DEL or kind is ChangeKind.VERTEX_ADD:
-            # one edge can join a removed and an added vertex: handle each end
+            # one edge can join a removed and an added vertex: pair each added end
             for k in (u, v):
-                if k in removed:
-                    dissolve_around(k)
-                elif k in added:
-                    handle_vertex_add(k)
+                if k in heaviest:
+                    seed_pair(k, heaviest[k])
         elif kind is ChangeKind.ICED_WD:
             dissolve_around(u)
             dissolve_around(v)
@@ -184,10 +182,11 @@ def init(
             dissolve.add(p_t.community_of(u))
             dissolve.add(p_t.community_of(v))
             seed_pair(u, v)
-        # CCED_WD: cross-community decreases strengthen the structure; no entries
+        else:  # CCED_WD, or a cross increase below the threshold: only beta moves
+            for c in (p_t.community_of(u), p_t.community_of(v)):
+                beta_shift[c] = beta_shift.get(c, 0.0) + dw
 
-    pairs = frozenset(pair_of.values())
-    return InitPlan(frozenset(dissolve), pairs)
+    return InitPlan(frozenset(dissolve), frozenset(pair_of.values()), beta_shift)
 
 
 def intermediate_partition(
@@ -206,7 +205,8 @@ def intermediate_partition(
     Aggregates are composed in O(|delta| + dissolved) time: a change internal
     to a community always dissolves it and a removed or added vertex dissolves
     every community it touches, so surviving communities keep their alpha and
-    only see beta shifts from cross-community weight changes. When ``p_t``
+    their beta moves only by ``plan.beta_shift``, which :func:`init` summed
+    from the cross-community changes that merge nothing. When ``p_t``
     carries its community graph, the result carries an edit of it made the
     same way: dissolved rows drop and each changed edge between two carried
     communities shifts their cross weight. The edges of the vertices in new
@@ -215,14 +215,6 @@ def intermediate_partition(
     """
     removed = d.removed_vertices
     added = d.added_vertices
-
-    # the other kinds dissolve every community they touch, so only
-    # cross-community changes shift the beta of a surviving community
-    beta_shift: dict[int, float] = {}
-    for ec in d.edge_changes:
-        if classify(g_t1, p_t, ec, d) in (ChangeKind.CCEA_WI, ChangeKind.CCED_WD):
-            for c in (p_t.community_of(ec.u), p_t.community_of(ec.v)):
-                beta_shift[c] = beta_shift.get(c, 0.0) + ec.delta_w
 
     assign = dict(p_t.assignment)
     members: dict[int, frozenset[int]] = {}
@@ -239,7 +231,7 @@ def intermediate_partition(
                 continue
         members[c] = group
         alpha[c] = p_t.alpha(c)
-        beta[c] = p_t.beta(c) + beta_shift.get(c, 0.0)
+        beta[c] = p_t.beta(c) + plan.beta_shift.get(c, 0.0)
     for v in removed:
         del assign[v]
 

@@ -1,4 +1,7 @@
 import argparse
+import csv
+import hashlib
+import io
 import os
 import random
 import re
@@ -224,6 +227,26 @@ class TestRun:
             outs.append([(r.snapshot_index, r.algorithm, r.modularity, r.nmi,
                           r.ari, r.num_communities) for r in rows])
         assert outs[0] == outs[1]
+
+    def test_report_matches_golden_hash(self, tmp_path):
+        # all six change kinds through both algorithms; the hash is of the CSV
+        # without its two timing columns, as written by the code before `init`
+        # became a single pass over the delta, and guards that later
+        # simplifications keep the same partitions and reports
+        source = tmp_path / "scenario"
+        generate(GenConfig(seed=4, num_communities=5, community_size=10, p_in=0.5,
+                           p_out=0.04, num_snapshots=12,
+                           churn=Churn(icea=1, ccea=2, iced=1, cced=2,
+                                       vertex_add=1, vertex_del=1))).write(source)
+        out = tmp_path / "r.csv"
+        assert main(["run", "--deltas-dir", str(source / "deltas"), "--output", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        keep = [i for i, h in enumerate(rows[0])
+                if h not in ("elapsed_ns", "cumulative_elapsed_ns")]
+        text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+        assert len(rows) == 25
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "94a8d3819ea7ea53e72372646865e380a6fc8115cefefc6910b2f38458f31516")
 
     def test_config_errors_exit_two(self, event_file, tmp_path, capsys):
         assert main(["run", "--input", str(event_file)]) == 2  # missing interval

@@ -1,6 +1,7 @@
 import pytest
 
 from dynamo import (
+    ConfusionTable,
     RunConfig,
     harness,
     modularity,
@@ -147,6 +148,20 @@ class TestRunBenchmark:
         monkeypatch.setattr(harness, "modularity", counting)
         reports = run_benchmark(scenario.snapshots, RunConfig(algorithms=("dynamo",)))
         assert len(calls) == sum(r.modularity is not None for r in reports) == len(reports)
+
+    def test_default_run_builds_one_confusion_table_per_snapshot(self, scenario, monkeypatch):
+        # NMI and ARI of a dynamo row share one table against the static partition
+        calls = []
+        build = ConfusionTable.from_partitions
+
+        def counting(c_t, c_r):
+            calls.append(c_r)
+            return build(c_t, c_r)
+
+        monkeypatch.setattr(ConfusionTable, "from_partitions", staticmethod(counting))
+        reports = run_benchmark(scenario.snapshots)
+        scored = [r for r in reports if r.algorithm == "dynamo" and r.nmi is not None]
+        assert len(calls) == len(scored) == len(scenario.snapshots)
 
     def test_repeat_averages_timing(self, scenario):
         reports = run_benchmark(scenario.snapshots[:2], RunConfig(repeat=3))

@@ -183,7 +183,8 @@ class TestInitPlan:
         g, p = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(2, 3, 1.0),))
         plan = init(apply_delta(g, d), g, p, d)
-        assert plan == InitPlan()
+        assert (plan.dissolve, plan.pair_seeds) == (frozenset(), frozenset())
+        assert plan.beta_shift == {p.community_of(2): 1.0, p.community_of(3): 1.0}
 
     def test_ccea_above_threshold_dissolves_both(self):
         g, p = two_triangles()
@@ -223,7 +224,8 @@ class TestInitPlan:
                 assert plan.pair_seeds == frozenset({frozenset({i, j})})
                 merges += 1
             else:
-                assert plan == InitPlan()
+                assert (plan.dissolve, plan.pair_seeds) == (frozenset(), frozenset())
+                assert plan.beta_shift == {p.community_of(i): dw, p.community_of(j): dw}
             checked += 1
         assert 0 < merges < checked
 
@@ -231,7 +233,8 @@ class TestInitPlan:
         g, p = three_triangles_with_bridges()
         d = GraphDelta(edge_changes=(EdgeChange(0, 3, -0.2),))
         plan = init(apply_delta(g, d), g, p, d)
-        assert plan == InitPlan()
+        assert (plan.dissolve, plan.pair_seeds) == (frozenset(), frozenset())
+        assert plan.beta_shift == {p.community_of(0): -0.2, p.community_of(3): -0.2}
 
     def test_iced_dissolves_community_and_neighbors(self):
         g, p = three_triangles_with_bridges()
@@ -270,6 +273,15 @@ class TestInitPlan:
         assert plan == InitPlan()
         out = dynamo_update(g2, g, p, d)
         assert out.members(out.community_of(9)) == frozenset({9})
+
+    def test_cross_changes_accumulate_beta_shift_in_edge_order(self):
+        g, p = three_triangles_with_bridges()
+        d = GraphDelta(edge_changes=(EdgeChange(0, 3, -0.2), EdgeChange(2, 6, 0.1),
+                                     EdgeChange(0, 3, 0.3)))
+        plan = init(apply_delta(g, d), g, p, d)
+        a, b, c = p.community_of(0), p.community_of(3), p.community_of(6)
+        assert plan.dissolve == frozenset()
+        assert plan.beta_shift == {a: -0.2 + 0.1 + 0.3, b: -0.2 + 0.3, c: 0.1}
 
     def test_pair_seed_last_writer_wins(self):
         g, p = two_triangles()
@@ -325,6 +337,54 @@ class TestInitPlan:
         wrong = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(0, 1, 2.0),)))
         with pytest.raises(InconsistentSnapshotsError):
             init(wrong, g, p, d)
+
+
+def star_plus_path(degree):
+    """Hub 0 joined to 1..degree, which also form a path."""
+    return WeightedGraph.from_edges([(0, v, 1.0) for v in range(1, degree + 1)]
+                                    + [(v, v + 1, 1.0) for v in range(1, degree)])
+
+
+class TestOnePassInit:
+    def test_each_edge_change_classified_once(self, monkeypatch):
+        import dynamo.incremental as incremental
+        g = star_plus_path(12)
+        p = louvain(g)
+        d = GraphDelta(added_vertices=frozenset({20}), removed_vertices=frozenset({0}),
+                       edge_changes=(EdgeChange(20, 3, 1.0), EdgeChange(20, 7, 2.0),
+                                     EdgeChange(5, 6, -0.5), EdgeChange(20, 11, 1.0),
+                                     EdgeChange(1, 12, 0.5)))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return classify(*args)
+
+        monkeypatch.setattr(incremental, "classify", counting)
+        g2 = apply_delta(g, d)
+        out = dynamo_update(g2, g, p, d)
+        assert calls == list(d.edge_changes)
+        assert set(out.assignment) == set(g2.vertices)
+
+    def test_removing_a_hub_reads_its_row_a_few_times(self):
+        g = star_plus_path(100)
+        p = louvain(g)
+        d = GraphDelta(removed_vertices=frozenset({0}))
+        g0 = CountingGraph(g)
+        plan = init(apply_delta(g, d), g0, p, d)
+        assert g0.reads <= 3  # one read per edge would be 100
+        assert plan.dissolve == frozenset(p.community_ids)
+
+    def test_adding_a_hub_reads_its_row_once(self):
+        g = WeightedGraph.from_edges([(v, v + 1, 1.0) for v in range(1, 100)])
+        p = louvain(g)
+        d = GraphDelta(added_vertices=frozenset({0}),
+                       edge_changes=tuple(EdgeChange(0, v, 1.0) for v in range(1, 101)))
+        g1 = CountingGraph(apply_delta(g, d))
+        plan = init(g1, g, p, d)
+        assert g1.reads == 1
+        assert plan.dissolve == frozenset(p.community_ids)
+        assert plan.pair_seeds == frozenset({frozenset({0, 1})})
 
 
 class TestIntermediatePartition:
