@@ -3,9 +3,9 @@
 Given the previous snapshot, its partition, and the batch of changes leading to
 the next snapshot, the updater classifies every change once, builds an
 initialization plan (communities to dissolve into singletons, two-vertex seed
-communities, and the beta shifts of communities that carry over), materializes
-the intermediate partition, and lets the greedy optimizer finish from there
-instead of from scratch.
+communities, the beta shifts of communities that carry over, and a frontier of
+vertices to re-examine in place), materializes the intermediate partition, and
+lets the greedy optimizer finish from there instead of from scratch.
 
 Change handling, with all thresholds evaluated against the pre-change snapshot:
 
@@ -16,16 +16,27 @@ Change handling, with all thresholds evaluated against the pre-change snapshot:
   threshold (see :func:`ccea_merge_threshold`); below it only the two
   communities' beta moves, above it both communities dissolve and the
   endpoints seed a pair;
-* intra-community deletion / weight decrease: dissolve the touched community and
-  every community adjacent to either endpoint;
+* intra-community deletion / weight decrease: dissolve the touched community
+  and queue every neighbour of either endpoint in place;
 * cross-community deletion / weight decrease: only the two communities' beta
   moves (the structure only gets stronger);
-* vertex addition: dissolve the communities adjacent to the new vertex and seed
-  it with its heaviest neighbor (smallest id on ties);
-* vertex deletion: dissolve the vertex's community and all neighbor
-  communities; a removed vertex whose only edges are in the delta dissolves
-  just its own community, and one with no edge in either place (isolated)
-  leaves its community alone.
+* vertex addition: dissolve nothing and seed no pair; the new vertex starts as
+  a singleton, its neighbours are queued in place, and each carried community
+  it has an edge into moves its beta by that edge's weight. Its first pop puts
+  it in its best-gain community, which need not hold its heaviest neighbour
+  (see criterion 4's red acceptance test);
+* vertex deletion: dissolve the vertex's own community, queue its neighbours
+  in place, and move each carried neighbour community's beta by minus the
+  weight of the dropped edge; a removed vertex with no edge in the old
+  snapshot or in the delta (isolated) leaves its community alone.
+
+The intra-community deletion and vertex-event rules depart from the paper's
+as this package first implemented them, which also dissolved every community
+adjacent to an endpoint or to the vertex. On heavy-tailed graphs a few such
+changes freed most of the graph, and an update cost more than a static rerun.
+Following the dynamic frontier of Sahu's *DF Louvain* (arXiv 2404.19634),
+those neighbours now keep their communities and are only queued, so the work
+follows the delta.
 """
 
 from __future__ import annotations
@@ -63,14 +74,19 @@ class InitPlan:
 
     ``dissolve`` lists community ids to explode into singletons; ``pair_seeds``
     lists unordered vertex pairs to create as fresh two-vertex communities. A
-    vertex occurs in at most one pair. ``beta_shift`` maps a community id to
-    the summed weight change of the cross-community changes that touch it and
-    merge nothing; it is what a carried community's beta moves by.
+    vertex occurs in at most one pair. ``beta_shift`` maps each carried
+    community that a change touches to what its beta moves by: the summed
+    weight change of the cross-community changes that merge nothing, plus the
+    weights of added vertices' edges into it, minus those of removed
+    vertices' edges. ``frontier`` holds the surviving neighbours of removed
+    vertices, added vertices and intra-community decreases' endpoints: the
+    vertices that level 0 re-examines without dissolving their communities.
     """
 
     dissolve: frozenset[int] = frozenset()
     pair_seeds: frozenset[frozenset[int]] = frozenset()
     beta_shift: Mapping[int, float] = field(default_factory=dict, hash=False)
+    frontier: frozenset[int] = frozenset()
 
 
 def classify(g_t: WeightedGraph, p_t: Partition, change, delta: GraphDelta) -> ChangeKind:
@@ -127,16 +143,20 @@ def init(
 ) -> InitPlan:
     """Build the initialization plan for one snapshot delta in one pass.
 
-    Each removed or added vertex is handled once, and each edge change is
-    classified once, in stored (file) order. Dissolve sets accumulate by union;
-    an added vertex is paired with its heaviest neighbour at each of its edge
-    changes, and a later pair seed involving an already-seeded vertex replaces
-    that vertex's earlier pair. A cross-community change that merges nothing
-    adds its weight change to both endpoint communities' ``beta_shift``.
+    Each removed or added vertex is handled once, reading its row once (from
+    ``g_t`` when removed, ``g_t1`` when added), and each edge change is
+    classified once, in stored (file) order; an edge change at an added or
+    removed vertex needs nothing beyond its vertex's row. Dissolve and frontier
+    sets accumulate by union, and a later pair seed involving an
+    already-seeded vertex replaces that vertex's earlier pair. A
+    cross-community change that merges nothing adds its weight change to both
+    endpoint communities' ``beta_shift``, and a vertex event shifts the
+    community of each neighbour by the weight of their edge.
     """
     _check_consistency(g_t1, g_t, d)
 
     dissolve: set[int] = set()
+    frontier: set[int] = set()
     pair_of: dict[int, frozenset[int]] = {}
     beta_shift: dict[int, float] = {}
 
@@ -149,32 +169,34 @@ def init(
         pair_of[i] = pair
         pair_of[j] = pair
 
-    def dissolve_around(k: int) -> None:
-        dissolve.add(p_t.community_of(k))
-        dissolve.update(p_t.community_of(l) for l in g_t.neighbors(k))
+    def shift(c: int, dw: float) -> None:
+        beta_shift[c] = beta_shift.get(c, 0.0) + dw
 
+    removed = d.removed_vertices
     ends = {x for ec in d.edge_changes for x in (ec.u, ec.v)}
-    for k in sorted(d.removed_vertices):
-        if g_t.neighbors(k) or k in ends:  # an isolated vertex leaves its community alone
-            dissolve_around(k)
-    heaviest: dict[int, int] = {}
-    for k in d.added_vertices & ends:
-        nbrs = g_t1.neighbors(k)
-        dissolve.update(p_t.community_of(l) for l in nbrs if g_t.has_vertex(l))
-        if nbrs:  # max keeps the first of equal weights: the smallest id
-            heaviest[k] = max(sorted(nbrs), key=nbrs.__getitem__)
+    for k in sorted(removed):
+        nbrs = g_t.neighbors(k)
+        if nbrs or k in ends:  # an isolated vertex leaves its community alone
+            dissolve.add(p_t.community_of(k))
+        for l, w in nbrs.items():
+            if l not in removed:
+                frontier.add(l)
+                shift(p_t.community_of(l), -w)
+    for k in sorted(d.added_vertices):
+        for l, w in g_t1.neighbors(k).items():
+            frontier.add(l)
+            if l not in d.added_vertices:
+                shift(p_t.community_of(l), w)
 
     for change in d.edge_changes:
         kind = classify(g_t, p_t, change, d)
         u, v, dw = change
         if kind is ChangeKind.VERTEX_DEL or kind is ChangeKind.VERTEX_ADD:
-            # one edge can join a removed and an added vertex: pair each added end
-            for k in (u, v):
-                if k in heaviest:
-                    seed_pair(k, heaviest[k])
-        elif kind is ChangeKind.ICED_WD:
-            dissolve_around(u)
-            dissolve_around(v)
+            continue  # handled with its vertex above
+        if kind is ChangeKind.ICED_WD:
+            dissolve.add(p_t.community_of(u))
+            frontier.update(g_t.neighbors(u))
+            frontier.update(g_t.neighbors(v))
         elif kind is ChangeKind.ICEA_WI:
             dissolve.add(p_t.community_of(u))
             seed_pair(u, v)
@@ -183,10 +205,12 @@ def init(
             dissolve.add(p_t.community_of(v))
             seed_pair(u, v)
         else:  # CCED_WD, or a cross increase below the threshold: only beta moves
-            for c in (p_t.community_of(u), p_t.community_of(v)):
-                beta_shift[c] = beta_shift.get(c, 0.0) + dw
+            shift(p_t.community_of(u), dw)
+            shift(p_t.community_of(v), dw)
 
-    return InitPlan(frozenset(dissolve), frozenset(pair_of.values()), beta_shift)
+    carried_shift = {c: s for c, s in beta_shift.items() if c not in dissolve}
+    return InitPlan(frozenset(dissolve), frozenset(pair_of.values()), carried_shift,
+                    frozenset(frontier - removed))
 
 
 def intermediate_partition(
@@ -203,15 +227,18 @@ def intermediate_partition(
     singletons. Each new community takes an id above every id of ``p_t``.
 
     Aggregates are composed in O(|delta| + dissolved) time: a change internal
-    to a community always dissolves it and a removed or added vertex dissolves
-    every community it touches, so surviving communities keep their alpha and
-    their beta moves only by ``plan.beta_shift``, which :func:`init` summed
-    from the cross-community changes that merge nothing. When ``p_t``
-    carries its community graph, the result carries an edit of it made the
-    same way: dissolved rows drop and each changed edge between two carried
-    communities shifts their cross weight. The edges of the vertices in new
-    communities stay pending, so that level 0 of the resumed optimization
-    counts them once, in the communities they end up in.
+    to a community always dissolves it, a removed vertex with an edge
+    dissolves its own community, and an added vertex is a singleton, so no
+    change adds, drops or reweights an edge between two members of a
+    surviving community. Surviving communities therefore keep their alpha,
+    and their beta moves only by ``plan.beta_shift``, which :func:`init`
+    summed from the cross-community changes that merge nothing and the edges
+    of vertex events. When ``p_t`` carries its community graph, the result
+    carries an edit of it made the same way: dissolved rows drop and each
+    changed edge between two carried communities shifts their cross weight.
+    The edges of the vertices in new communities stay pending, so that level 0
+    of the resumed optimization counts them once, in the communities they end
+    up in.
     """
     removed = d.removed_vertices
     added = d.added_vertices
@@ -290,8 +317,10 @@ def dynamo_update(
 
     Level 0 of the resumed optimization starts from the vertices the delta
     freed: those whose community was not carried over (members of dissolved
-    communities and added vertices, which include every pair seed) and every
-    surviving endpoint of a changed edge. Moves reach further from there.
+    communities and added vertices, which include every pair seed), every
+    surviving endpoint of a changed edge, and ``plan.frontier``, the
+    neighbours of vertex events and intra-community decreases, which keep
+    their communities. Moves reach further from there.
 
     Carried communities keep their ids. ``p_t``'s community graph is edited
     into the result's rather than rebuilt; when ``p_t`` carries none, it is
@@ -301,7 +330,7 @@ def dynamo_update(
         p_t = p_t.with_community_graph(compress(g_t, p_t))
     plan = init(g_t1, g_t, p_t, d)
     intermediate = intermediate_partition(g_t1, p_t, plan, d)
-    seeds = set(d.added_vertices).union(*(p_t.members(c) for c in plan.dissolve))
+    seeds = set(d.added_vertices).union(plan.frontier, *(p_t.members(c) for c in plan.dissolve))
     seeds.update(x for ec in d.edge_changes for x in (ec.u, ec.v))
     return louvain(g_t1, initial=intermediate, seeds=seeds - d.removed_vertices)
 

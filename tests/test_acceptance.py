@@ -4,9 +4,9 @@ Criteria 1, 2, and 6 share one set of twenty seeded benchmark sequences
 (4 communities x 50 vertices, 24 snapshots, 16 changes per snapshot, about 1%
 of the edges and well under the 5% churn cap). The churn for these sequences
 is cross-community only: with just four communities, any change kind that
-dissolves whole neighborhoods rebuilds a quarter of the graph and the
-incremental update degenerates to a static rerun, which is outside the regime
-the speedup claim targets. All six change kinds are exercised by the property
+dissolves a community rebuilds a quarter of the graph and the incremental
+update degenerates to a static rerun, which is outside the regime the speedup
+claim targets. All six change kinds are exercised by the property
 suites below and by the mixed-churn determinism scenario.
 """
 

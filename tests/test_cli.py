@@ -228,11 +228,9 @@ class TestRun:
                           r.ari, r.num_communities) for r in rows])
         assert outs[0] == outs[1]
 
-    def test_report_matches_golden_hash(self, tmp_path):
-        # all six change kinds through both algorithms; the hash is of the CSV
-        # without its two timing columns, as written by the code before `init`
-        # became a single pass over the delta, and guards that later
-        # simplifications keep the same partitions and reports
+    @staticmethod
+    def six_kind_report(tmp_path) -> list[list[str]]:
+        """A `dynamo run` CSV over a seeded six-kind stream, without its two timing columns."""
         source = tmp_path / "scenario"
         generate(GenConfig(seed=4, num_communities=5, community_size=10, p_in=0.5,
                            p_out=0.04, num_snapshots=12,
@@ -243,10 +241,27 @@ class TestRun:
         rows = list(csv.reader(io.StringIO(out.read_text())))
         keep = [i for i, h in enumerate(rows[0])
                 if h not in ("elapsed_ns", "cumulative_elapsed_ns")]
-        text = "\n".join(",".join(row[i] for i in keep) for row in rows)
         assert len(rows) == 25
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "94a8d3819ea7ea53e72372646865e380a6fc8115cefefc6910b2f38458f31516")
+        return [[row[i] for i in keep] for row in rows]
+
+    @staticmethod
+    def rows_hash(rows: list[list[str]], algorithm: str) -> str:
+        column = rows[0].index("algorithm")
+        chosen = [rows[0]] + [row for row in rows[1:] if row[column] == algorithm]
+        return hashlib.sha256("\n".join(map(",".join, chosen)).encode()).hexdigest()
+
+    def test_louvain_rows_match_golden_hash(self, tmp_path):
+        # static detection: the hash was taken before the incremental rules
+        # changed, and guards that no change to the update path moves a
+        # static partition or report
+        assert self.rows_hash(self.six_kind_report(tmp_path), "louvain") == (
+            "e3fa0495edc41344ed36049bfcb282ae9955922c72e5ecfb59802df6ecda9d26")
+
+    def test_dynamo_rows_match_golden_hash(self, tmp_path):
+        # the incremental rows, pinned with the frontier rules for
+        # intra-community decreases and vertex events
+        assert self.rows_hash(self.six_kind_report(tmp_path), "dynamo") == (
+            "3b3152aa00e62860c079c1751a2c974116d053ca15c67979d06f34a62aadf2ce")
 
     def test_config_errors_exit_two(self, event_file, tmp_path, capsys):
         assert main(["run", "--input", str(event_file)]) == 2  # missing interval

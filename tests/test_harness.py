@@ -15,7 +15,8 @@ SCENARIO = GenConfig(seed=11, num_communities=3, community_size=10, p_in=0.5,
                      churn=Churn(icea=1, ccea=2, iced=1, cced=1))
 
 # full-size scenario: quality invariants of the incremental path are only
-# reliable when one dissolved community is a small fraction of the graph
+# reliable when one dissolved community (an intra-community change or a
+# removed vertex dissolves its own) is a small fraction of the graph
 FULL_SIZE = GenConfig(seed=11, num_snapshots=8,
                       churn=Churn(icea=1, ccea=4, iced=1, cced=4,
                                   vertex_add=1, vertex_del=1))

@@ -236,34 +236,61 @@ class TestInitPlan:
         assert (plan.dissolve, plan.pair_seeds) == (frozenset(), frozenset())
         assert plan.beta_shift == {p.community_of(0): -0.2, p.community_of(3): -0.2}
 
-    def test_iced_dissolves_community_and_neighbors(self):
+    def test_iced_dissolves_only_its_community(self):
         g, p = three_triangles_with_bridges()
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, -0.5),))
         plan = init(apply_delta(g, d), g, p, d)
-        # 0's neighbors span A and B; nothing touches C
-        assert plan.dissolve == frozenset({p.community_of(0), p.community_of(3)})
+        # 0's neighbor 3 keeps B and is only queued; nothing touches C
+        assert plan.dissolve == frozenset({p.community_of(0)})
         assert plan.pair_seeds == frozenset()
+        assert plan.frontier == frozenset({0, 1, 2, 3})
+        assert plan.beta_shift == {}
 
-    def test_vertex_deletion_dissolves_neighbor_communities(self):
+    def test_vertex_deletion_dissolves_only_its_community(self):
         g, p = three_triangles_with_bridges()
         d = GraphDelta(removed_vertices=frozenset({0}))
         plan = init(apply_delta(g, d), g, p, d)
-        assert plan.dissolve == frozenset({p.community_of(0), p.community_of(3)})
+        assert plan.dissolve == frozenset({p.community_of(0)})
+        assert plan.frontier == frozenset({1, 2, 3})
+        assert plan.beta_shift == {p.community_of(3): -0.5}  # the dropped bridge
 
-    def test_vertex_addition_seeds_heaviest_neighbor(self):
+    def test_vertex_addition_queues_neighbors_without_dissolving(self):
         g, p = three_triangles_with_bridges()
         d = GraphDelta(added_vertices=frozenset({9}),
                        edge_changes=(EdgeChange(9, 6, 2.0), EdgeChange(9, 3, 1.0)))
         plan = init(apply_delta(g, d), g, p, d)
-        assert plan.dissolve == frozenset({p.community_of(6), p.community_of(3)})
-        assert plan.pair_seeds == frozenset({frozenset({9, 6})})
+        assert (plan.dissolve, plan.pair_seeds) == (frozenset(), frozenset())
+        assert plan.frontier == frozenset({3, 6})
+        assert plan.beta_shift == {p.community_of(6): 2.0, p.community_of(3): 1.0}
+
+    def test_vertex_addition_joins_best_gain_not_heaviest_community(self):
+        # a dense 5-clique D and a triangle T; the newcomer's heavier edge goes
+        # into D, whose strength makes T the better community to join
+        edges = [(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)]
+        edges += [(5, 6, 1.0), (6, 7, 1.0), (5, 7, 1.0), (0, 5, 0.1)]
+        g = WeightedGraph.from_edges(edges)
+        p = Partition.from_communities(g, [range(5), range(5, 8)])
+        d = GraphDelta(added_vertices=frozenset({9}),
+                       edge_changes=(EdgeChange(9, 0, 1.1), EdgeChange(9, 5, 1.0)))
+        g2 = apply_delta(g, d)
+        into = {c: modularity_pairwise(g2, {**p.assignment, 9: c}) for c in p.community_ids}
+        heaviest, best = p.community_of(0), p.community_of(5)
+        assert into[best] > into[heaviest]
+        assert init(g2, g, p, d).pair_seeds == frozenset()
+        out = dynamo_update(g2, g, p, d)
+        assert out.members(out.community_of(9)) == frozenset({5, 6, 7, 9})
 
     def test_vertex_addition_tie_prefers_smallest_id(self):
-        g, p = three_triangles_with_bridges()
+        # equal weights into two equal-strength communities: local moving's tie
+        # break sends the newcomer to the smaller community id
+        g, p = two_triangles()
         d = GraphDelta(added_vertices=frozenset({9}),
-                       edge_changes=(EdgeChange(9, 6, 1.0), EdgeChange(9, 3, 1.0)))
-        plan = init(apply_delta(g, d), g, p, d)
-        assert plan.pair_seeds == frozenset({frozenset({9, 3})})
+                       edge_changes=(EdgeChange(9, 3, 1.0), EdgeChange(9, 2, 1.0)))
+        g2 = apply_delta(g, d)
+        assert init(g2, g, p, d).pair_seeds == frozenset()
+        out = dynamo_update(g2, g, p, d)
+        assert out.community_of(9) == out.community_of(2) == min(p.community_ids)
+        assert out.members(out.community_of(3)) == frozenset({3, 4, 5})
 
     def test_isolated_vertex_addition_stays_singleton(self):
         g, p = two_triangles()
@@ -293,9 +320,9 @@ class TestInitPlan:
 
     def test_edge_joining_added_and_removed_vertex(self):
         # (0, 9) joins a removed and an added vertex: it is created, then dropped
-        # with vertex 0. Both endpoints are handled, in order: 0's neighborhood
-        # dissolves, and 9 re-seeds its heaviest neighbor 7, replacing the
-        # intra-community pair (7, 8) seeded by the change before it.
+        # with vertex 0, so neither vertex's handling sees it. 0 dissolves its
+        # own community A and queues its neighbors; 9 queues 7 and shifts C's
+        # beta, but the intra-community increase (7, 8) then dissolves C.
         g, p = three_triangles_with_bridges()
         d = GraphDelta(added_vertices=frozenset({9}), removed_vertices=frozenset({0}),
                        edge_changes=(EdgeChange(9, 7, 1.5), EdgeChange(7, 8, 1.0),
@@ -304,10 +331,12 @@ class TestInitPlan:
         assert not g2.has_edge(0, 9)
         assert classify(g, p, d.edge_changes[2], d) is ChangeKind.VERTEX_DEL
         plan = init(g2, g, p, d)
-        assert plan.dissolve == frozenset(p.community_of(v) for v in (0, 3, 6))
-        assert plan.pair_seeds == frozenset({frozenset({7, 9})})
+        assert plan.dissolve == frozenset(p.community_of(v) for v in (0, 6))
+        assert plan.pair_seeds == frozenset({frozenset({7, 8})})
+        assert plan.frontier == frozenset({1, 2, 3, 7})
+        assert plan.beta_shift == {p.community_of(3): -0.5}
         inter = intermediate_partition(g2, p, plan, d)
-        assert inter.members(inter.community_of(9)) == frozenset({7, 9})
+        assert inter.members(inter.community_of(9)) == frozenset({9})
         rebuilt = partition_rebuild_aggregates(g2, inter.assignment)
         for c in inter.community_ids:
             assert inter.alpha(c) == pytest.approx(rebuilt.alpha(c), abs=1e-9)
@@ -373,7 +402,11 @@ class TestOnePassInit:
         g0 = CountingGraph(g)
         plan = init(apply_delta(g, d), g0, p, d)
         assert g0.reads <= 3  # one read per edge would be 100
-        assert plan.dissolve == frozenset(p.community_ids)
+        hub = p.community_of(0)
+        assert plan.dissolve == frozenset({hub})
+        assert plan.frontier == frozenset(range(1, 101))
+        assert plan.beta_shift == {c: -float(len(p.members(c)))
+                                   for c in p.community_ids if c != hub}
 
     def test_adding_a_hub_reads_its_row_once(self):
         g = WeightedGraph.from_edges([(v, v + 1, 1.0) for v in range(1, 100)])
@@ -383,8 +416,9 @@ class TestOnePassInit:
         g1 = CountingGraph(apply_delta(g, d))
         plan = init(g1, g, p, d)
         assert g1.reads == 1
-        assert plan.dissolve == frozenset(p.community_ids)
-        assert plan.pair_seeds == frozenset({frozenset({0, 1})})
+        assert (plan.dissolve, plan.pair_seeds) == (frozenset(), frozenset())
+        assert plan.frontier == frozenset(range(1, 101))
+        assert plan.beta_shift == {c: float(len(p.members(c))) for c in p.community_ids}
 
 
 class TestIntermediatePartition:
@@ -499,6 +533,51 @@ class TestDynamoUpdate:
         # a full sweep would evaluate all 5,000 vertices at least once
         assert 2 <= counting.evaluated <= 50
         assert out.as_sets() == p.as_sets()
+
+    def test_vertex_addition_evaluates_few_vertices_at_level_0(self, planted_5k):
+        # dissolving the three touched communities and re-forming them from
+        # singletons evaluates thousands of vertices
+        g, p = planted_5k
+        targets = sorted(min(p.members(c)) for c in p.community_ids)[:3]
+        x = max(g.vertices) + 1
+        d = GraphDelta(added_vertices=frozenset({x}),
+                       edge_changes=tuple(EdgeChange(x, t, 1.0) for t in targets))
+        counting = CountingGraph(apply_delta(g, d))
+        out = dynamo_update(counting, g, p, d)
+        assert counting.evaluated <= 50
+        assert out.num_communities == p.num_communities
+
+    def test_iced_dissolves_exactly_one_community(self, planted_5k):
+        g, p = planted_5k
+        u, v, w = next((u, v, w) for u, v, w in sorted(g.edges())
+                       if p.community_of(u) == p.community_of(v))
+        d = GraphDelta(edge_changes=(EdgeChange(u, v, -w),))
+        plan = init(apply_delta(g, d), g, p, d)
+        assert plan.dissolve == frozenset({p.community_of(u)})
+        assert plan.frontier == frozenset(g.neighbors(u)) | frozenset(g.neighbors(v))
+
+    def test_vertex_events_shift_carried_communities(self, planted_5k):
+        # a newcomer wired into two carried communities and a removed vertex
+        # with neighbors in a third: only the removed vertex's community dissolves
+        g, p = planted_5k
+        first, second, third = sorted(p.community_ids, key=lambda c: min(p.members(c)))[:3]
+        r = min(p.members(third))
+        x = max(g.vertices) + 1
+        wires = [(t, 0.5 + i) for i, t in enumerate(sorted(p.members(first))[:2]
+                                                     + sorted(p.members(second))[:3])]
+        d = GraphDelta(added_vertices=frozenset({x}), removed_vertices=frozenset({r}),
+                       edge_changes=tuple(EdgeChange(x, t, w) for t, w in wires))
+        g2 = apply_delta(g, d)
+        plan = init(g2, g, p, d)
+        assert plan.dissolve == frozenset({third})
+        assert plan.pair_seeds == frozenset()
+        assert {first, second} <= plan.beta_shift.keys()
+        inter = intermediate_partition(g2, p, plan, d)
+        rebuilt = partition_rebuild_aggregates(g2, inter.assignment)
+        for c in inter.community_ids:
+            assert inter.alpha(c) == pytest.approx(rebuilt.alpha(c), abs=1e-9)
+            assert inter.beta(c) == pytest.approx(rebuilt.beta(c), abs=1e-9)
+        assert community_graph_mismatch(g2, inter) is None
 
     def test_cross_deletion_reads_few_rows(self, planted_5k):
         # every neighbors read of the update, on both snapshots: rebuilding the
