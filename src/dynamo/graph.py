@@ -45,25 +45,24 @@ class WeightedGraph:
     positive; parallel edges collapse into a single summed weight at
     construction and self-loops are rejected.
 
-    The one exception is the optional per-vertex self weight, which only
-    :func:`dynamo.louvain.compress` produces. It follows the ordered-pair
-    convention of ``alpha`` (twice the internal edge sum of an aggregated
-    community), so it adds its full value to the vertex strength and half of it
-    to the total weight. Deltas cannot express it: :meth:`edges` and
-    :func:`apply_delta` cover edges only.
+    The one exception is the per-vertex self weight of an aggregated level,
+    which only :class:`CommunityGraphEdit` produces (and with it
+    :func:`dynamo.louvain.compress`): it is the ``alpha`` of the community the
+    vertex stands for, and the vertex's strength is that community's ``beta``.
+    It follows the ordered-pair convention of ``alpha`` (twice the internal
+    edge sum of the community), so it adds its full value to the vertex
+    strength and half of it to the total weight. Deltas cannot express it:
+    :meth:`edges` and :func:`apply_delta` cover edges only.
     """
 
     __slots__ = ("_adj", "_self", "_strength", "_m")
 
-    def __init__(self, adjacency: dict[int, dict[int, float]],
-                 self_weights: Optional[dict[int, float]] = None):
+    def __init__(self, adjacency: dict[int, dict[int, float]]):
         # Internal constructor: takes ownership of a symmetric adjacency dict.
         self._adj = adjacency
-        self._self = self_weights or {}
+        self._self: dict[int, float] = {}
         # fsum rounds once, so sums do not depend on dict insertion order
         self._strength = {u: math.fsum(nbrs.values()) for u, nbrs in adjacency.items()}
-        for u, s in self._self.items():
-            self._strength[u] += s
         self._m = 0.5 * math.fsum(self._strength.values())
 
     @classmethod
@@ -466,6 +465,10 @@ class CommunityGraphEdit:
     never changed again, only forked. Self weights and strengths are not
     edited: :meth:`finish` takes them from the partition's ``alpha`` and
     ``beta``.
+
+    Every community graph is built this way. The incremental updater starts
+    from the graph a partition carries; :func:`dynamo.louvain.compress` starts
+    from nothing, one empty row per community with every vertex pending.
     """
 
     __slots__ = ("g", "adj", "pending", "_copied", "_low")
@@ -515,49 +518,45 @@ class CommunityGraphEdit:
             self._low.add((a, b) if a < b else (b, a))
 
     def regroup(self, before: "Partition", after: "Partition", moved: Iterable[int]) -> None:
-        """Follow the vertices of ``moved`` from ``before`` to ``after``, then count the pending.
+        """Follow the vertices of ``moved`` from ``before`` to ``after`` and count the pending.
 
-        Communities that lost every member are dropped whole first. Each vertex
-        that ended in another community then moves its cross weights, against
-        the current community of each neighbour, one vertex at a time. Last,
-        each pending vertex's edges are counted under ``after``. The work is
-        O(degrees of the moved and pending vertices + dropped rows).
+        Communities that lost every member are dropped whole first. Then one
+        rule counts every edge with an end in T, the pending vertices plus
+        those of ``moved`` that ended in another community, once: from its
+        smaller end when both ends are in T. The edge leaves the community
+        pair its ends had in ``before``, unless an end is pending (it was
+        never counted) or that pair's row was dropped, and joins the pair its
+        ends have in ``after``. Decreases go through :meth:`shift`, which
+        marks residues for :meth:`finish`; increases are written to the rows.
+        The work is O(degrees of T + dropped rows).
         """
         old = before.assignment
         new = after.assignment
         pending = self.pending
-        movers = sorted(v for v in moved if new[v] != old[v] and v not in pending)
         gone = {old[v] for v in moved if old[v] not in after._members}
         self.drop(gone)
+        todo = pending.union(v for v in moved if new[v] != old[v])
         neighbors = self.g.neighbors
-        done: set[int] = set()
-        for v in movers:
+        row, adj, copied = self.row, self.adj, self._copied
+        for v in sorted(todo):
             a, b = old[v], new[v]
-            w_to: dict[int, float] = {}
+            leaves = a not in gone and v not in pending
+            w_from: dict[int, float] = {}
+            # rows are checked inline: a row() call per edge slowed compress by 5-12%
+            row_b = adj[b] if b in copied else row(b)
             for u, w in neighbors(v).items():
-                if u not in pending:
-                    cu = new[u] if u in done else old[u]
-                    if cu not in gone:  # else u moves later and brings this edge along
-                        w_to[cu] = w_to.get(cu, 0.0) + w
-            done.add(v)
-            for c, w in w_to.items():
-                if c != a and a not in gone:
-                    self.shift(a, c, -w)
-                if c != b:
-                    self.shift(b, c, w)
-        row = self.row
-        for v in sorted(pending):
-            b = new[v]
-            w_to = {}
-            for u, w in neighbors(v).items():
-                if u not in pending or u > v:  # an edge between two pending vertices counts once
-                    cu = new[u]
-                    if cu != b:
-                        w_to[cu] = w_to.get(cu, 0.0) + w
-            if w_to:
-                row_b = row(b)
-                for c, w in w_to.items():
-                    row_b[c] = row(c)[b] = row_b.get(c, 0.0) + w
+                if u < v and u in todo:
+                    continue  # counted from u
+                cu = new[u]
+                if cu != b:
+                    row_c = adj[cu] if cu in copied else row(cu)
+                    row_b[cu] = row_c[b] = row_b.get(cu, 0.0) + w
+                if leaves and u not in pending:
+                    cu = old[u]
+                    if cu != a and cu not in gone:
+                        w_from[cu] = w_from.get(cu, 0.0) + w
+            for c, w in w_from.items():
+                self.shift(a, c, -w)
         self.pending = frozenset()
 
     def finish(self, p: "Partition") -> WeightedGraph:

@@ -221,10 +221,11 @@ def intermediate_partition(
 ) -> Partition:
     """Materialize the plan on the new snapshot.
 
-    Non-dissolved communities carry over with their ids (minus deleted
-    members), dissolved communities explode into singletons, pair seeds become
-    two-vertex communities, and added vertices outside any pair stay
-    singletons. Each new community takes an id above every id of ``p_t``.
+    Non-dissolved communities carry over with their ids and share ``p_t``'s
+    member sets, except the community of an isolated removed vertex, which
+    loses that member. Dissolved communities explode into singletons, pair
+    seeds become two-vertex communities, and added vertices outside any pair
+    stay singletons. Each new community takes an id above every id of ``p_t``.
 
     Aggregates are composed in O(|delta| + dissolved) time: a change internal
     to a community always dissolves it, a removed vertex with an edge
@@ -250,17 +251,15 @@ def intermediate_partition(
     for c in p_t.community_ids:
         if c in plan.dissolve:
             continue
-        group = p_t.members(c)
-        if removed:
-            # only zero-strength vertices can be removed out of a surviving community
-            group = group - removed
-            if not group:
-                continue
-        members[c] = group
+        members[c] = p_t.members(c)
         alpha[c] = p_t.alpha(c)
         beta[c] = p_t.beta(c) + plan.beta_shift.get(c, 0.0)
     for v in removed:
-        del assign[v]
+        c = assign.pop(v)
+        if c in members:  # an isolated vertex, the only kind a surviving community loses
+            members[c] -= {v}
+            if not members[c]:
+                del members[c], alpha[c], beta[c]
 
     top = max(p_t.community_ids, default=-1)
     next_id = top + 1

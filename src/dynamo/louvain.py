@@ -12,14 +12,16 @@ community. Static detection and every level above 0 seed all vertices; a
 resumed update seeds level 0 with the vertices its delta freed, so its work
 follows the delta rather than the graph.
 
-Aggregation (:func:`compress`) yields another :class:`WeightedGraph`: one
-vertex per community, named by the community id, with the community's internal
-weight as self weight. Every level therefore runs the same local-moving code.
-A community keeps its id through the levels above it unless a level merges it
-into another, so unfolding relabels only the members of merged communities.
+Aggregation yields another :class:`WeightedGraph`: one vertex per community,
+named by the community id, with the community's alpha as self weight and its
+beta as strength. Every level therefore runs the same local-moving code. One
+counting rule builds every such graph, :meth:`CommunityGraphEdit.regroup`.
 When the starting partition carries its community graph, local moving edits
 that graph for the vertices it moved, so the update path never rebuilds
-level 1 from the whole graph.
+level 1 from the whole graph; otherwise :func:`compress` runs the same edit
+from nothing, with every vertex pending. A community keeps its id through the
+levels above it unless a level merges it into another, so unfolding relabels
+only the members of merged communities.
 
 Ties prefer the smallest community id and a move must gain more than
 :data:`EPSILON`, so detection is fully deterministic.
@@ -31,7 +33,7 @@ from collections import deque
 from typing import Iterable, Optional
 
 from .errors import EmptyGraphError, UnknownVertexError
-from .graph import Partition, WeightedGraph
+from .graph import CommunityGraphEdit, Partition, WeightedGraph
 
 #: minimum modularity gain of a move
 EPSILON = 1e-7
@@ -40,29 +42,18 @@ EPSILON = 1e-7
 def compress(g: WeightedGraph, p: Partition) -> WeightedGraph:
     """Aggregate each community of ``p`` into one vertex with the community's id.
 
-    Each result vertex carries its community's internal weight as self weight
-    (see :class:`WeightedGraph`), so the identity partition of the result has
-    the same modularity as ``p`` on ``g``. Vertices keep the order of their
-    community ids, so queue order and smallest-id tie breaks on the result
-    match those of a 0..k-1 renumbering.
+    This is a :class:`CommunityGraphEdit` started from nothing: one empty row
+    per community, with every vertex of ``g`` pending, so each row of ``g`` is
+    read once. Each result vertex carries its community's ``alpha`` as self
+    weight and its ``beta`` as strength (see :class:`WeightedGraph`), so the
+    identity partition of the result has the same modularity as ``p`` on
+    ``g``. Vertices keep the order of their community ids, so queue order and
+    smallest-id tie breaks on the result match those of a 0..k-1 renumbering.
     """
-    cids = sorted(p.community_ids)
-    community_of = p.assignment
-    adj: dict[int, dict[int, float]] = {c: {} for c in cids}
-    self_w: dict[int, float] = {c: 0.0 for c in cids}
-    for u in sorted(g.vertices):
-        cu = community_of[u]
-        self_w[cu] += g.self_weight(u)
-        row = adj[cu]
-        for v, w in g.neighbors(u).items():
-            if u < v:
-                cv = community_of[v]
-                if cu == cv:
-                    self_w[cu] += 2.0 * w
-                else:
-                    row[cv] = row.get(cv, 0.0) + w
-                    adj[cv][cu] = row[cv]
-    return WeightedGraph(adj, self_w)
+    edit = CommunityGraphEdit(g, {}, frozenset(g.vertices))
+    edit.add(sorted(p.community_ids))
+    edit.regroup(p, p, ())
+    return edit.finish(p)
 
 
 def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) -> Partition:

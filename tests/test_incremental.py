@@ -27,6 +27,7 @@ from dynamo import (
     nmi,
     partition_rebuild_aggregates,
 )
+from dynamo.louvain import compress
 from dynamo.synthgen import Churn, GenConfig, generate
 from helpers import (
     PLANTED_5K,
@@ -592,6 +593,14 @@ class TestDynamoUpdate:
         assert out.as_sets() == p.as_sets()
         assert community_graph_mismatch(g1, out) is None
 
+    def test_compress_reads_each_row_once(self, planted_5k):
+        # the aggregation that an update without a carried graph falls back on
+        g, p = planted_5k
+        counting = CountingGraph(g)
+        h = compress(counting, p)
+        assert counting.reads == g.num_vertices
+        assert sorted(h.edges()) == sorted(p.community_graph.edges())
+
     def test_untouched_communities_share_member_sets(self, planted_5k):
         # local moving rebuilds only the member sets its movers left or joined
         g, p = planted_5k
@@ -601,6 +610,21 @@ class TestDynamoUpdate:
         out = dynamo_update(apply_delta(g, d), g, p, d)
         untouched = [c for c in p.community_ids if u not in p.members(c) and v not in p.members(c)]
         assert len(untouched) == p.num_communities - 2
+        assert all(out.members(c) is p.members(c) for c in untouched)
+
+    def test_vertex_removal_keeps_untouched_member_sets(self):
+        # a removed vertex with edges dissolves its own community, so no other
+        # carried community loses a member and none needs a new set
+        g = generate(GenConfig(seed=3, num_communities=10, community_size=60, p_in=0.2,
+                               p_out=0.002)).graphs[0]
+        p = louvain(g)
+        v = next(v for v in sorted(g.vertices)
+                 if len({p.community_of(u) for u in (v, *g.neighbors(v))}) == 3)
+        d = GraphDelta(removed_vertices=frozenset({v}))
+        out = dynamo_update(apply_delta(g, d), g, p, d)
+        near = {p.community_of(u) for u in (v, *g.neighbors(v))}
+        untouched = [c for c in p.community_ids if c not in near]
+        assert len(untouched) == 7
         assert all(out.members(c) is p.members(c) for c in untouched)
 
     def test_carried_communities_keep_their_ids(self):
