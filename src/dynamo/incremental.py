@@ -2,15 +2,18 @@
 
 Given the previous snapshot, its partition, and the batch of changes leading to
 the next snapshot, the updater classifies every change once, builds an
-initialization plan (communities to dissolve into singletons, two-vertex seed
-communities, the beta shifts of communities that carry over, and a frontier of
-vertices to re-examine in place), materializes the intermediate partition, and
-lets the greedy optimizer finish from there instead of from scratch.
+initialization plan (communities to dissolve into singletons, vertices to free
+from communities that carry over, two-vertex seed communities, the beta shifts
+of carried communities, and the level-0 seed set), materializes the
+intermediate partition, and lets the greedy optimizer finish from there
+instead of from scratch.
 
 Change handling, with all thresholds evaluated against the pre-change snapshot:
 
-* intra-community addition / weight increase: dissolve the touched community,
-  seed the two endpoints as a pair (testing whether a bi-split wins would mean
+* intra-community addition / weight increase: free the two endpoints and
+  their neighbours inside the community as singletons, seed the endpoints as
+  a pair, and queue their outside neighbours in place; the community keeps
+  its id and its other members (testing whether a bi-split wins would mean
   scoring every split of the community, so local moving finds the split);
 * cross-community addition / weight increase: merge test against the closed-form
   threshold (see :func:`ccea_merge_threshold`); below it only the two
@@ -30,13 +33,23 @@ Change handling, with all thresholds evaluated against the pre-change snapshot:
   weight of the dropped edge; a removed vertex with no edge in the old
   snapshot or in the delta (isolated) leaves its community alone.
 
-The intra-community deletion and vertex-event rules depart from the paper's
-as this package first implemented them, which also dissolved every community
-adjacent to an endpoint or to the vertex. On heavy-tailed graphs a few such
-changes freed most of the graph, and an update cost more than a static rerun.
-Following the dynamic frontier of Sahu's *DF Louvain* (arXiv 2404.19634),
-those neighbours now keep their communities and are only queued, so the work
-follows the delta.
+A community that another change of the batch dissolves is dissolved whatever
+its intra-community increases, and one whose every member an increase frees
+dissolves too.
+
+Three rules depart from the paper's as this package first implemented them.
+The intra-community deletion and vertex-event rules also dissolved every
+community adjacent to an endpoint or to the vertex: on heavy-tailed graphs a
+few such changes freed most of the graph, and an update cost more than a
+static rerun. Following the dynamic frontier of Sahu's *DF Louvain* (arXiv
+2404.19634), those neighbours now keep their communities and are only queued,
+so the work follows the delta. The intra-community increase rule dissolved the
+whole community: on planted 250-vertex blocks one increase made level 0
+re-form a block from singletons, about 85% of an update. Freeing only the
+endpoints' neighbourhood inside it keeps the rest of the community together,
+and local moving can still split it from there (DF Louvain ignores such an
+increase, which misses a split like the one in the frozen
+``TestCommunitySplitOnInternalIncrease`` case).
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping
 
 from .errors import InconsistentSnapshotsError, SameCommunityError
@@ -72,21 +86,26 @@ class ChangeKind(enum.Enum):
 class InitPlan:
     """Output of the initialization step.
 
-    ``dissolve`` lists community ids to explode into singletons; ``pair_seeds``
-    lists unordered vertex pairs to create as fresh two-vertex communities. A
-    vertex occurs in at most one pair. ``beta_shift`` maps each carried
-    community that a change touches to what its beta moves by: the summed
-    weight change of the cross-community changes that merge nothing, plus the
-    weights of added vertices' edges into it, minus those of removed
-    vertices' edges. ``frontier`` holds the surviving neighbours of removed
-    vertices, added vertices and intra-community decreases' endpoints: the
-    vertices that level 0 re-examines without dissolving their communities.
+    ``dissolve`` lists community ids to explode into singletons. ``freed``
+    lists the vertices that leave a community which carries over, each as a
+    singleton: the endpoints of an intra-community increase and their
+    neighbours inside its community. ``pair_seeds`` lists unordered vertex
+    pairs to create as fresh two-vertex communities; a vertex occurs in at
+    most one pair. ``beta_shift`` maps each carried community that a change
+    touches to the summed strength change of its members: the weight changes
+    of the cross-community changes that merge nothing and, twice, of the
+    intra-community increases, plus the weights of added vertices' edges into
+    it, minus those of removed vertices' edges. ``seeds`` is the queue that
+    level 0 starts from: the members of dissolved communities, the freed and
+    added vertices, every surviving endpoint of a changed edge, and the
+    neighbours that are re-examined without leaving their communities.
     """
 
     dissolve: frozenset[int] = frozenset()
+    freed: frozenset[int] = frozenset()
     pair_seeds: frozenset[frozenset[int]] = frozenset()
     beta_shift: Mapping[int, float] = field(default_factory=dict, hash=False)
-    frontier: frozenset[int] = frozenset()
+    seeds: frozenset[int] = frozenset()
 
 
 def classify(g_t: WeightedGraph, p_t: Partition, change, delta: GraphDelta) -> ChangeKind:
@@ -146,19 +165,25 @@ def init(
     Each removed or added vertex is handled once, reading its row once (from
     ``g_t`` when removed, ``g_t1`` when added), and each edge change is
     classified once, in stored (file) order; an edge change at an added or
-    removed vertex needs nothing beyond its vertex's row. Dissolve and frontier
-    sets accumulate by union, and a later pair seed involving an
-    already-seeded vertex replaces that vertex's earlier pair. A
-    cross-community change that merges nothing adds its weight change to both
-    endpoint communities' ``beta_shift``, and a vertex event shifts the
-    community of each neighbour by the weight of their edge.
+    removed vertex needs nothing beyond its vertex's row. Dissolve, freed and
+    seed sets accumulate by union, and a later pair seed involving an
+    already-seeded vertex replaces that vertex's earlier pair. A change that
+    dissolves nothing adds its weight change to both endpoint communities'
+    ``beta_shift``, and a vertex event shifts the community of each neighbour
+    by the weight of their edge.
+
+    The intra-community increases are settled last, per community, reading
+    each endpoint's row in ``g_t`` once: in a community that the batch
+    dissolves anyway they need nothing more. Otherwise the endpoints and their
+    neighbours inside the community are freed and their outside neighbours
+    are queued; a community left with no member dissolves instead.
     """
     _check_consistency(g_t1, g_t, d)
 
     dissolve: set[int] = set()
-    frontier: set[int] = set()
     pair_of: dict[int, frozenset[int]] = {}
     beta_shift: dict[int, float] = {}
+    increased: dict[int, set[int]] = {}  # community -> endpoints of its intra increases
 
     def seed_pair(i: int, j: int) -> None:
         for old in (pair_of.get(i), pair_of.get(j)):
@@ -174,17 +199,18 @@ def init(
 
     removed = d.removed_vertices
     ends = {x for ec in d.edge_changes for x in (ec.u, ec.v)}
+    seeds = ends | d.added_vertices  # removed vertices are taken out last
     for k in sorted(removed):
         nbrs = g_t.neighbors(k)
         if nbrs or k in ends:  # an isolated vertex leaves its community alone
             dissolve.add(p_t.community_of(k))
         for l, w in nbrs.items():
             if l not in removed:
-                frontier.add(l)
+                seeds.add(l)
                 shift(p_t.community_of(l), -w)
     for k in sorted(d.added_vertices):
         for l, w in g_t1.neighbors(k).items():
-            frontier.add(l)
+            seeds.add(l)
             if l not in d.added_vertices:
                 shift(p_t.community_of(l), w)
 
@@ -195,22 +221,34 @@ def init(
             continue  # handled with its vertex above
         if kind is ChangeKind.ICED_WD:
             dissolve.add(p_t.community_of(u))
-            frontier.update(g_t.neighbors(u))
-            frontier.update(g_t.neighbors(v))
-        elif kind is ChangeKind.ICEA_WI:
-            dissolve.add(p_t.community_of(u))
-            seed_pair(u, v)
+            seeds.update(g_t.neighbors(u))
+            seeds.update(g_t.neighbors(v))
         elif kind is ChangeKind.CCEA_WI and dw > ccea_merge_threshold(g_t, p_t, u, v):
             dissolve.add(p_t.community_of(u))
             dissolve.add(p_t.community_of(v))
             seed_pair(u, v)
-        else:  # CCED_WD, or a cross increase below the threshold: only beta moves
+        else:  # an intra increase, a cross decrease, or a cross increase below the threshold
+            if kind is ChangeKind.ICEA_WI:
+                increased.setdefault(p_t.community_of(u), set()).update((u, v))
+                seed_pair(u, v)
             shift(p_t.community_of(u), dw)
             shift(p_t.community_of(v), dw)
 
+    freed: set[int] = set()
+    for c in increased.keys() - dissolve:
+        inside = set(increased[c])
+        for x in increased[c]:
+            for y in g_t.neighbors(x):
+                (inside if p_t.community_of(y) == c else seeds).add(y)
+        if len(inside) == len(p_t.members(c)):
+            dissolve.add(c)
+        else:
+            freed |= inside
+
+    seeds.update(freed, *(p_t.members(c) for c in dissolve))
     carried_shift = {c: s for c, s in beta_shift.items() if c not in dissolve}
-    return InitPlan(frozenset(dissolve), frozenset(pair_of.values()), carried_shift,
-                    frozenset(frontier - removed))
+    return InitPlan(frozenset(dissolve), frozenset(freed), frozenset(pair_of.values()),
+                    carried_shift, frozenset(seeds - removed))
 
 
 def intermediate_partition(
@@ -221,30 +259,31 @@ def intermediate_partition(
 ) -> Partition:
     """Materialize the plan on the new snapshot.
 
-    Non-dissolved communities carry over with their ids and share ``p_t``'s
-    member sets, except the community of an isolated removed vertex, which
-    loses that member. Dissolved communities explode into singletons, pair
-    seeds become two-vertex communities, and added vertices outside any pair
-    stay singletons. Each new community takes an id above every id of ``p_t``.
+    Non-dissolved communities carry over with their ids. Each loses its freed
+    members and, when it holds an isolated removed vertex, that member; the
+    others share ``p_t``'s member sets. Members of dissolved communities and
+    freed vertices become singletons, pair seeds become two-vertex
+    communities, and added vertices outside any pair stay singletons. Each
+    new community takes an id above every id of ``p_t``.
 
-    Aggregates are composed in O(|delta| + dissolved) time: a change internal
-    to a community always dissolves it, a removed vertex with an edge
-    dissolves its own community, and an added vertex is a singleton, so no
-    change adds, drops or reweights an edge between two members of a
-    surviving community. Surviving communities therefore keep their alpha,
-    and their beta moves only by ``plan.beta_shift``, which :func:`init`
-    summed from the cross-community changes that merge nothing and the edges
-    of vertex events. When ``p_t`` carries its community graph, the result
-    carries an edit of it made the same way: dissolved rows drop and each
-    changed edge between two carried communities shifts their cross weight.
-    The edges of the vertices in new communities stay pending, so that level 0
-    of the resumed optimization counts them once, in the communities they end
-    up in.
+    Aggregates are composed in O(|delta| + dissolved + degrees of the freed
+    vertices) time. A carried community's beta moves by ``plan.beta_shift``,
+    its strength change. The only changed edges inside a carried community
+    are intra-community increases (a decrease dissolves it, and a removed
+    vertex with an edge dissolves its own community), so its alpha grows by
+    twice theirs; their endpoints are freed. Each freed vertex then takes its
+    edges in ``g_t1`` out of its community's alpha and its strength out of
+    the beta. When ``p_t`` carries its community graph, the result carries an
+    edit of it made the same way: each changed edge between two carried
+    communities shifts their cross weight, a freed vertex's edges to other
+    carried communities are subtracted from them, and the rows of dissolved
+    and emptied communities drop. The edges of the vertices in new
+    communities stay pending, so that level 0 of the resumed optimization
+    counts them once, in the communities they end up in.
     """
     removed = d.removed_vertices
-    added = d.added_vertices
-
-    assign = dict(p_t.assignment)
+    old = p_t.assignment
+    assign = dict(old)
     members: dict[int, frozenset[int]] = {}
     alpha: dict[int, float] = {}
     beta: dict[int, float] = {}
@@ -254,26 +293,52 @@ def intermediate_partition(
         members[c] = p_t.members(c)
         alpha[c] = p_t.alpha(c)
         beta[c] = p_t.beta(c) + plan.beta_shift.get(c, 0.0)
+    edit = p_t.community_graph_edit(g_t1)
+
+    # an added or a removed end is never in a carried community
+    for u, v, dw in d.edge_changes:
+        cu, cv = old.get(u), old.get(v)
+        if cu in alpha and cv in alpha:
+            if cu == cv:
+                alpha[cu] += 2.0 * dw
+            elif edit is not None:
+                edit.shift(cu, cv, dw)
+
+    leaving: dict[int, list[int]] = {}
     for v in removed:
         c = assign.pop(v)
-        if c in members:  # an isolated vertex, the only kind a surviving community loses
-            members[c] -= {v}
-            if not members[c]:
-                del members[c], alpha[c], beta[c]
+        if c in members:  # an isolated vertex
+            leaving.setdefault(c, []).append(v)
+    freed = plan.freed
+    in_order = sorted(freed)
+    cut: dict[tuple[int, int], float] = {}  # summed per pair, so each pair shifts once
+    for x in in_order:
+        c = old[x]
+        leaving.setdefault(c, []).append(x)
+        inside = 0.0
+        for y, w in g_t1.neighbors(x).items():
+            if y < x and y in freed:
+                continue  # taken from y
+            cy = old.get(y)
+            if cy == c:
+                inside += w
+            elif cy in alpha:
+                cut[c, cy] = cut.get((c, cy), 0.0) + w
+        alpha[c] -= 2.0 * inside
+        beta[c] -= g_t1.strength(x)
+    if edit is not None:
+        for (c, cy), w in cut.items():
+            edit.shift(c, cy, -w)
+    for c, group in leaving.items():
+        members[c] = members[c].difference(group)
+        if not members[c]:
+            del members[c], alpha[c], beta[c]
 
     top = max(p_t.community_ids, default=-1)
     next_id = top + 1
-    for c in sorted(plan.dissolve):
-        for v in sorted(p_t.members(c)):
-            if v in removed:
-                continue
-            assign[v] = next_id
-            members[next_id] = frozenset((v,))
-            alpha[next_id] = 0.0
-            beta[next_id] = g_t1.strength(v)
-            next_id += 1
-
-    for v in sorted(added):
+    singles = [v for c in sorted(plan.dissolve) for v in sorted(p_t.members(c))
+               if v not in removed]
+    for v in chain(singles, in_order, sorted(d.added_vertices)):
         assign[v] = next_id
         members[next_id] = frozenset((v,))
         alpha[next_id] = 0.0
@@ -283,8 +348,8 @@ def intermediate_partition(
     for pair in sorted(plan.pair_seeds, key=min):
         i, j = sorted(pair)
         for x in (i, j):  # pair endpoints are always singletons at this point
-            old = assign[x]
-            del members[old], alpha[old], beta[old]
+            old_c = assign[x]
+            del members[old_c], alpha[old_c], beta[old_c]
         assign[i] = next_id
         assign[j] = next_id
         members[next_id] = frozenset(pair)
@@ -292,14 +357,8 @@ def intermediate_partition(
         beta[next_id] = g_t1.strength(i) + g_t1.strength(j)
         next_id += 1
 
-    edit = p_t.community_graph_edit(g_t1)
     if edit is not None:
         edit.drop(c for c in p_t.community_ids if c not in members)
-        for u, v, dw in d.edge_changes:
-            if u not in removed and v not in removed:
-                cu, cv = assign[u], assign[v]
-                if cu != cv and cu <= top and cv <= top:
-                    edit.shift(cu, cv, dw)
         fresh = [c for c in members if c > top]
         edit.add(fresh)
         edit.pending = frozenset().union(*(members[c] for c in fresh))
@@ -314,24 +373,16 @@ def dynamo_update(
 ) -> Partition:
     """Update the community structure across one snapshot transition.
 
-    Level 0 of the resumed optimization starts from the vertices the delta
-    freed: those whose community was not carried over (members of dissolved
-    communities and added vertices, which include every pair seed), every
-    surviving endpoint of a changed edge, and ``plan.frontier``, the
-    neighbours of vertex events and intra-community decreases, which keep
-    their communities. Moves reach further from there.
-
-    Carried communities keep their ids. ``p_t``'s community graph is edited
-    into the result's rather than rebuilt; when ``p_t`` carries none, it is
-    built once with :func:`compress`.
+    Level 0 of the resumed optimization starts from ``plan.seeds``, the
+    vertices the delta freed and their neighbours; moves reach further from
+    there. Carried communities keep their ids. ``p_t``'s community graph is
+    edited into the result's rather than rebuilt; when ``p_t`` carries none,
+    it is built once with :func:`compress`.
     """
     if p_t.community_graph is None:
         p_t = p_t.with_community_graph(compress(g_t, p_t))
     plan = init(g_t1, g_t, p_t, d)
-    intermediate = intermediate_partition(g_t1, p_t, plan, d)
-    seeds = set(d.added_vertices).union(plan.frontier, *(p_t.members(c) for c in plan.dissolve))
-    seeds.update(x for ec in d.edge_changes for x in (ec.u, ec.v))
-    return louvain(g_t1, initial=intermediate, seeds=seeds - d.removed_vertices)
+    return louvain(g_t1, initial=intermediate_partition(g_t1, p_t, plan, d), seeds=plan.seeds)
 
 
 def _check_consistency(g_t1: WeightedGraph, g_t: WeightedGraph, d: GraphDelta) -> None:

@@ -259,9 +259,9 @@ class TestRun:
 
     def test_dynamo_rows_match_golden_hash(self, tmp_path):
         # the incremental rows, pinned with the frontier rules for
-        # intra-community decreases and vertex events
+        # intra-community changes and vertex events
         assert self.rows_hash(self.six_kind_report(tmp_path), "dynamo") == (
-            "3b3152aa00e62860c079c1751a2c974116d053ca15c67979d06f34a62aadf2ce")
+            "4bb0203ca415657e1efa815974d3b1ba4959c3c3c250ab8fc7c9d1fd3809cf92")
 
     @pytest.mark.parametrize("algorithm, digest", [
         ("louvain", "70c9e38f136613c2f349bcdc567cc3cd123dd630676f0da1e3c32b2a4c6e1ed4"),

@@ -47,6 +47,16 @@ def two_triangles():
     return g, p
 
 
+def assert_exact_aggregates(g, p):
+    """``p``'s alpha and beta match a rebuild from ``g``, and so does its community graph."""
+    rebuilt = partition_rebuild_aggregates(g, p.assignment)
+    assert set(p.community_ids) == set(rebuilt.community_ids)
+    for c in p.community_ids:
+        assert p.alpha(c) == pytest.approx(rebuilt.alpha(c), abs=1e-9)
+        assert p.beta(c) == pytest.approx(rebuilt.beta(c), abs=1e-9)
+    assert community_graph_mismatch(g, p) is None
+
+
 class CountingGraph(WeightedGraph):
     """A copy of a graph that counts its ``neighbors`` calls.
 
@@ -173,11 +183,36 @@ class TestInitPlan:
         plan = init(g, g, p, GraphDelta.empty())
         assert plan == InitPlan()
 
-    def test_icea_dissolves_community_and_seeds_pair(self):
+    def test_icea_frees_endpoint_neighbourhood_and_seeds_pair(self):
+        # A is the ring 0-1-2-3-4-5 with the chord 2-4, B the 4-clique 6..9,
+        # bridged by 0-6: the increase on (0, 1) frees 0, 1 and their ring
+        # neighbours 2 and 5, queues 0's outside neighbour 6, and A keeps 3, 4
+        ring = [(i, (i + 1) % 6, 1.0) for i in range(6)] + [(2, 4, 1.0)]
+        clique = [(u, v, 1.0) for u in range(6, 10) for v in range(u + 1, 10)]
+        g = WeightedGraph.from_edges(ring + clique + [(0, 6, 0.5)])
+        p = Partition.from_communities(g, [range(6), range(6, 10)])
+        p = p.with_community_graph(compress(g, p))
+        a = p.community_of(0)
+        d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
+        g2 = apply_delta(g, d)
+        plan = init(g2, g, p, d)
+        assert plan.dissolve == frozenset()
+        assert plan.freed == frozenset({0, 1, 2, 5})
+        assert plan.pair_seeds == frozenset({frozenset({0, 1})})
+        assert plan.seeds == frozenset({0, 1, 2, 5, 6})
+        assert plan.beta_shift == {a: 2.0}
+        inter = intermediate_partition(g2, p, plan, d)
+        assert inter.members(a) == frozenset({3, 4})
+        assert inter.members(inter.community_of(0)) == frozenset({0, 1})
+        assert inter.community_of(2) != inter.community_of(5)
+        assert_exact_aggregates(g2, inter)
+
+    def test_icea_freeing_every_member_dissolves_the_community(self):
         g, p = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
         plan = init(apply_delta(g, d), g, p, d)
         assert plan.dissolve == frozenset({p.community_of(0)})
+        assert plan.freed == frozenset()
         assert plan.pair_seeds == frozenset({frozenset({0, 1})})
 
     def test_ccea_below_threshold_keeps_structure(self):
@@ -244,7 +279,7 @@ class TestInitPlan:
         # 0's neighbor 3 keeps B and is only queued; nothing touches C
         assert plan.dissolve == frozenset({p.community_of(0)})
         assert plan.pair_seeds == frozenset()
-        assert plan.frontier == frozenset({0, 1, 2, 3})
+        assert plan.seeds == frozenset({0, 1, 2, 3})
         assert plan.beta_shift == {}
 
     def test_vertex_deletion_dissolves_only_its_community(self):
@@ -252,7 +287,7 @@ class TestInitPlan:
         d = GraphDelta(removed_vertices=frozenset({0}))
         plan = init(apply_delta(g, d), g, p, d)
         assert plan.dissolve == frozenset({p.community_of(0)})
-        assert plan.frontier == frozenset({1, 2, 3})
+        assert plan.seeds == frozenset({1, 2, 3})
         assert plan.beta_shift == {p.community_of(3): -0.5}  # the dropped bridge
 
     def test_vertex_addition_queues_neighbors_without_dissolving(self):
@@ -261,7 +296,7 @@ class TestInitPlan:
                        edge_changes=(EdgeChange(9, 6, 2.0), EdgeChange(9, 3, 1.0)))
         plan = init(apply_delta(g, d), g, p, d)
         assert (plan.dissolve, plan.pair_seeds) == (frozenset(), frozenset())
-        assert plan.frontier == frozenset({3, 6})
+        assert plan.seeds == frozenset({3, 6, 9})
         assert plan.beta_shift == {p.community_of(6): 2.0, p.community_of(3): 1.0}
 
     def test_vertex_addition_joins_best_gain_not_heaviest_community(self):
@@ -298,7 +333,7 @@ class TestInitPlan:
         d = GraphDelta(added_vertices=frozenset({9}))
         g2 = apply_delta(g, d)
         plan = init(g2, g, p, d)
-        assert plan == InitPlan()
+        assert plan == InitPlan(seeds=frozenset({9}))
         out = dynamo_update(g2, g, p, d)
         assert out.members(out.community_of(9)) == frozenset({9})
 
@@ -323,7 +358,8 @@ class TestInitPlan:
         # (0, 9) joins a removed and an added vertex: it is created, then dropped
         # with vertex 0, so neither vertex's handling sees it. 0 dissolves its
         # own community A and queues its neighbors; 9 queues 7 and shifts C's
-        # beta, but the intra-community increase (7, 8) then dissolves C.
+        # beta, but the intra-community increase (7, 8) then frees all of C,
+        # which dissolves it.
         g, p = three_triangles_with_bridges()
         d = GraphDelta(added_vertices=frozenset({9}), removed_vertices=frozenset({0}),
                        edge_changes=(EdgeChange(9, 7, 1.5), EdgeChange(7, 8, 1.0),
@@ -334,7 +370,8 @@ class TestInitPlan:
         plan = init(g2, g, p, d)
         assert plan.dissolve == frozenset(p.community_of(v) for v in (0, 6))
         assert plan.pair_seeds == frozenset({frozenset({7, 8})})
-        assert plan.frontier == frozenset({1, 2, 3, 7})
+        assert plan.freed == frozenset()
+        assert plan.seeds == frozenset({1, 2, 3, 6, 7, 8, 9})
         assert plan.beta_shift == {p.community_of(3): -0.5}
         inter = intermediate_partition(g2, p, plan, d)
         assert inter.members(inter.community_of(9)) == frozenset({9})
@@ -405,7 +442,7 @@ class TestOnePassInit:
         assert g0.reads <= 3  # one read per edge would be 100
         hub = p.community_of(0)
         assert plan.dissolve == frozenset({hub})
-        assert plan.frontier == frozenset(range(1, 101))
+        assert plan.seeds == frozenset(range(1, 101))
         assert plan.beta_shift == {c: -float(len(p.members(c)))
                                    for c in p.community_ids if c != hub}
 
@@ -418,7 +455,7 @@ class TestOnePassInit:
         plan = init(g1, g, p, d)
         assert g1.reads == 1
         assert (plan.dissolve, plan.pair_seeds) == (frozenset(), frozenset())
-        assert plan.frontier == frozenset(range(1, 101))
+        assert plan.seeds == frozenset(range(101))
         assert plan.beta_shift == {c: float(len(p.members(c))) for c in p.community_ids}
 
 
@@ -548,6 +585,22 @@ class TestDynamoUpdate:
         assert counting.evaluated <= 50
         assert out.num_communities == p.num_communities
 
+    def test_intra_increase_evaluates_few_vertices_at_level_0(self, planted_5k):
+        # dissolving the 250-vertex community and re-forming it from
+        # singletons evaluates over 800 vertices
+        g, p = planted_5k
+        u, v, w = next((u, v, w) for u, v, w in sorted(g.edges())
+                       if p.community_of(u) == p.community_of(v))
+        x, y = next((x, y) for x in sorted(g.vertices)
+                    for y in sorted(p.members(p.community_of(x)))
+                    if x < y and not g.has_edge(x, y))
+        for d in (GraphDelta(edge_changes=(EdgeChange(u, v, 1.0),)),
+                  GraphDelta(edge_changes=(EdgeChange(x, y, 1.0),))):
+            counting = CountingGraph(apply_delta(g, d))
+            out = dynamo_update(counting, g, p, d)
+            assert counting.evaluated <= 150
+            assert out.as_sets() == p.as_sets()
+
     def test_iced_dissolves_exactly_one_community(self, planted_5k):
         g, p = planted_5k
         u, v, w = next((u, v, w) for u, v, w in sorted(g.edges())
@@ -555,7 +608,8 @@ class TestDynamoUpdate:
         d = GraphDelta(edge_changes=(EdgeChange(u, v, -w),))
         plan = init(apply_delta(g, d), g, p, d)
         assert plan.dissolve == frozenset({p.community_of(u)})
-        assert plan.frontier == frozenset(g.neighbors(u)) | frozenset(g.neighbors(v))
+        assert plan.seeds == (frozenset(g.neighbors(u)) | frozenset(g.neighbors(v))
+                              | p.members(p.community_of(u)))
 
     def test_vertex_events_shift_carried_communities(self, planted_5k):
         # a newcomer wired into two carried communities and a removed vertex
@@ -687,6 +741,96 @@ class TestDynamoUpdate:
         for k in range(1, len(graphs)):
             p = dynamo_update(graphs[k], graphs[k - 1], p, scenario.snapshots[k].delta)
             assert residual_movers(graphs[k], p) <= 0.01 * graphs[k].num_vertices
+
+
+@pytest.fixture(scope="module")
+def blocks_600():
+    g = generate(GenConfig(seed=3, num_communities=10, community_size=60, p_in=0.2,
+                           p_out=0.002, weight_range=(1.0, 3.0))).graphs[0]
+    return g, louvain(g)
+
+
+class TestIntraIncreaseBatches:
+    """Intra-community increases batched with changes that meet their neighbourhoods.
+
+    Each batch's intermediate partition and update must keep alpha, beta and
+    the community graph exact, whether the increase's community survives with
+    its freed members taken out or another change dissolves it.
+    """
+
+    @staticmethod
+    def plan_and_check(g, p, d):
+        g2 = apply_delta(g, d)
+        plan = init(g2, g, p, d)
+        assert_exact_aggregates(g2, intermediate_partition(g2, p, plan, d))
+        assert_exact_aggregates(g2, dynamo_update(g2, g, p, d))
+        return plan
+
+    @staticmethod
+    def intra_edges(g, p, c):
+        return [(u, v) for u, v, _ in sorted(g.edges())
+                if p.community_of(u) == p.community_of(v) == c]
+
+    def test_two_increases_with_overlapping_neighbourhoods(self, blocks_600):
+        g, p = blocks_600
+        c = p.community_of(0)
+        a, b = self.intra_edges(g, p, c)[0]
+        x, y = next((x, y) for x, y in self.intra_edges(g, p, c)
+                    if x in g.neighbors(a) and not {x, y} & {a, b})
+        d = GraphDelta(edge_changes=(EdgeChange(a, b, 1.5), EdgeChange(x, y, 0.7)))
+        plan = self.plan_and_check(g, p, d)
+        assert plan.dissolve == frozenset()
+        assert {a, b, x, y} <= plan.freed < p.members(c)
+        assert plan.pair_seeds == frozenset({frozenset({a, b}), frozenset({x, y})})
+
+    def test_increases_free_both_ends_of_a_cross_edge(self, blocks_600):
+        # the cross edge (x, y) leaves the community graph once, not twice; it
+        # joins the pair of communities with the largest cross weight, which
+        # stays positive either way, so finishing the edit cannot repair it
+        g, p = blocks_600
+        h = p.community_graph
+        x, y = max(((x, y) for x, y, _ in sorted(g.edges())
+                    if p.community_of(x) != p.community_of(y)),
+                   key=lambda e: h.weight(p.community_of(e[0]), p.community_of(e[1])))
+        inc = [EdgeChange(v, min(u for u in g.neighbors(v)
+                                 if p.community_of(u) == p.community_of(v)), 1.0)
+               for v in (x, y)]
+        plan = self.plan_and_check(g, p, GraphDelta(edge_changes=tuple(inc)))
+        assert plan.dissolve == frozenset()
+        assert {x, y} <= plan.freed
+
+    def test_increase_and_decrease_in_one_community(self, blocks_600):
+        g, p = blocks_600
+        c = p.community_of(0)
+        (a, b), (x, y) = self.intra_edges(g, p, c)[:2]
+        d = GraphDelta(edge_changes=(EdgeChange(a, b, 1.5), EdgeChange(x, y, -0.5)))
+        plan = self.plan_and_check(g, p, d)
+        assert plan.dissolve == frozenset({c})
+        assert plan.freed == frozenset()
+
+    def test_increase_next_to_a_removed_vertex(self, blocks_600):
+        # an endpoint's neighbour in another community is removed: that
+        # community dissolves, and the increase's community survives
+        g, p = blocks_600
+        a, b, r = next((a, b, r) for a, b, _ in sorted(g.edges())
+                       if p.community_of(a) == p.community_of(b)
+                       for r in sorted(g.neighbors(a)) if p.community_of(r) != p.community_of(a))
+        d = GraphDelta(removed_vertices=frozenset({r}), edge_changes=(EdgeChange(a, b, 2.0),))
+        plan = self.plan_and_check(g, p, d)
+        assert plan.dissolve == frozenset({p.community_of(r)})
+        assert {a, b} <= plan.freed < p.members(p.community_of(a))
+
+    def test_increase_pair_overwritten_by_a_merge_pair(self, blocks_600):
+        g, p = blocks_600
+        c = p.community_of(0)
+        a, b = self.intra_edges(g, p, c)[0]
+        z = min(v for v in g.vertices if p.community_of(v) != c)
+        d = GraphDelta(edge_changes=(EdgeChange(a, b, 1.5), EdgeChange(b, z, 200.0)))
+        assert d.edge_changes[1].delta_w > ccea_merge_threshold(g, p, b, z)
+        plan = self.plan_and_check(g, p, d)
+        assert plan.dissolve == frozenset({c, p.community_of(z)})
+        assert plan.freed == frozenset()
+        assert plan.pair_seeds == frozenset({frozenset({b, z})})
 
 
 class TestCommunitySplitOnInternalIncrease:
