@@ -18,6 +18,7 @@ With ``m`` the total edge weight, modularity is
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -53,9 +54,14 @@ class WeightedGraph:
     edge sum of the community), so it adds its full value to the vertex
     strength and half of it to the total weight. Deltas cannot express it:
     :meth:`edges` and :func:`apply_delta` cover edges only.
+
+    Twice the total weight is kept exactly, as a few floats whose exact sum it
+    is, so that :func:`apply_delta` moves it by the rows it touches. A graph
+    that :func:`apply_delta` built records the graph and the delta it came
+    from, both by weak reference (see :meth:`derived_from`).
     """
 
-    __slots__ = ("_adj", "_self", "_strength", "_m")
+    __slots__ = ("_adj", "_self", "_strength", "_sum", "_source", "__weakref__")
 
     def __init__(self, adjacency: dict[int, dict[int, float]]):
         # Internal constructor: takes ownership of a symmetric adjacency dict.
@@ -63,14 +69,17 @@ class WeightedGraph:
         self._self: dict[int, float] = {}
         # fsum rounds once, so sums do not depend on dict insertion order
         self._strength = {u: math.fsum(nbrs.values()) for u, nbrs in adjacency.items()}
-        self._m = 0.5 * math.fsum(self._strength.values())
+        self._sum = _exact_sum(list(self._strength.values()))
+        self._source = None
 
     @classmethod
     def _assemble(cls, adjacency: dict[int, dict[int, float]], self_weights: dict[int, float],
-                  strength: dict[int, float], m: float) -> "WeightedGraph":
-        """Internal constructor that takes the cached strengths and ``m`` as given."""
+                  strength: dict[int, float], total: tuple[float, ...],
+                  source: Optional[tuple] = None) -> "WeightedGraph":
+        """Internal constructor that takes the strengths and twice the total weight as given."""
         g = cls.__new__(cls)
-        g._adj, g._self, g._strength, g._m = adjacency, self_weights, strength, m
+        g._adj, g._self, g._strength, g._sum, g._source = (
+            adjacency, self_weights, strength, total, source)
         return g
 
     @classmethod
@@ -121,7 +130,7 @@ class WeightedGraph:
     @property
     def total_weight(self) -> float:
         """Sum of all edge weights, each undirected edge counted once (the symbol m)."""
-        return self._m
+        return 0.5 * self._sum[0]
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
@@ -162,6 +171,18 @@ class WeightedGraph:
     def copy_adjacency(self) -> dict[int, dict[int, float]]:
         return {u: dict(nbrs) for u, nbrs in self._adj.items()}
 
+    def derived_from(self, d: "GraphDelta") -> Optional["WeightedGraph"]:
+        """The graph that ``apply_delta(g, d)`` built this one from, or None.
+
+        None unless :func:`apply_delta` built this graph from that very delta
+        object, and once that graph is gone. A graph rebuilt from the same
+        adjacency records nothing.
+        """
+        source = self._source
+        if source is None or source[1]() is not d:
+            return None
+        return source[0]()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
@@ -172,7 +193,8 @@ class WeightedGraph:
         raise TypeError("WeightedGraph is not hashable")
 
     def __repr__(self) -> str:
-        return f"WeightedGraph(|V|={self.num_vertices}, |E|={self.num_edges}, m={self._m:g})"
+        return (f"WeightedGraph(|V|={self.num_vertices}, |E|={self.num_edges}, "
+                f"m={self.total_weight:g})")
 
 
 class EdgeChange(NamedTuple):
@@ -243,8 +265,12 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
     The result shares every adjacency row the delta leaves alone with ``g``
     and copies a row before its first change, so ``g`` is never mutated.
     Beyond two dict copies, the work follows the rows the delta touches: only
-    their strengths are re-summed. Self weights of surviving vertices carry
-    over.
+    their strengths are re-summed, and the exact strength sum moves by their
+    changes. Self weights of surviving vertices carry over.
+
+    The result records ``g`` and ``d`` (see :meth:`WeightedGraph.derived_from`),
+    so that a check of the pair against each other can return at once: this
+    function defines ``g + d``.
     """
     adj = dict(g._adj)
     copied: set[int] = set()
@@ -289,14 +315,36 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
 
     self_w = g._self
     strength = dict(g._strength)
+    terms = list(g._sum)  # each changed strength leaves the sum and rejoins it
     for v in d.removed_vertices:
-        del strength[v]
+        terms.append(-strength.pop(v))
         if v in self_w:
             self_w = {u: s for u, s in self_w.items() if u in adj}
     for u in copied:
         if u in adj:
-            strength[u] = math.fsum(adj[u].values()) + self_w.get(u, 0.0)
-    return WeightedGraph._assemble(adj, self_w, strength, 0.5 * math.fsum(strength.values()))
+            if u in strength:
+                terms.append(-strength[u])
+            strength[u] = k = math.fsum(adj[u].values()) + self_w.get(u, 0.0)
+            terms.append(k)
+    return WeightedGraph._assemble(adj, self_w, strength, _exact_sum(terms),
+                                   (weakref.ref(g), weakref.ref(d)))
+
+
+def _exact_sum(terms: list[float]) -> tuple[float, ...]:
+    """Floats whose exact sum is that of ``terms``, the correctly rounded sum first.
+
+    Each :func:`math.fsum` rounds the exact sum once, so appending the
+    negated result leaves the exact residual for the next call. Each residual
+    is at most half an ulp of the sum before it, so the loop ends at an exact
+    zero, usually after two or three calls. Consumes ``terms``.
+    """
+    out = []
+    r = math.fsum(terms)
+    while r:
+        out.append(r)
+        terms.append(-r)
+        r = math.fsum(terms)
+    return tuple(out) or (0.0,)
 
 
 class Partition:
@@ -312,9 +360,14 @@ class Partition:
     community named by its id, with ``alpha`` as self weights and ``beta`` as
     strengths. Detection results carry it, and the incremental updater edits
     it instead of rebuilding it; partitions built here carry none.
+
+    A partition may also record, by weak reference, a graph whose vertices its
+    assignment covers exactly, so that :meth:`covers` need not compare vertex
+    sets. Detection results and the incremental updater's intermediate
+    partitions record one; partitions built here record none.
     """
 
-    __slots__ = ("_assignment", "_members", "_alpha", "_beta", "_graph")
+    __slots__ = ("_assignment", "_members", "_alpha", "_beta", "_graph", "_cover")
 
     def __init__(
         self,
@@ -323,12 +376,14 @@ class Partition:
         alpha: dict[int, float],
         beta: dict[int, float],
         community_graph: Union[WeightedGraph, "CommunityGraphEdit", None] = None,
+        cover: Optional[WeightedGraph] = None,
     ):
         self._assignment = assignment
         self._members = members
         self._alpha = alpha
         self._beta = beta
         self._graph = community_graph
+        self._cover = None if cover is None else weakref.ref(cover)
 
     # -- constructors -------------------------------------------------------
 
@@ -417,9 +472,22 @@ class Partition:
             h = self._graph = edit.finish(self)
         return h
 
-    def with_community_graph(self, h: Union[WeightedGraph, "CommunityGraphEdit"]) -> "Partition":
-        """This partition carrying ``h`` (a graph or a pending edit) as its community graph."""
-        return Partition(self._assignment, self._members, self._alpha, self._beta, h)
+    def with_community_graph(self, h: Union[WeightedGraph, "CommunityGraphEdit"],
+                             cover: Optional[WeightedGraph] = None) -> "Partition":
+        """This partition carrying ``h`` (a graph or a pending edit) as its community graph.
+
+        It records ``cover``, when given, as the graph it covers.
+        """
+        return Partition(self._assignment, self._members, self._alpha, self._beta, h, cover)
+
+    def covers(self, g) -> bool:
+        """Whether the assignment covers exactly the vertices of ``g``.
+
+        O(1) when this partition records ``g`` as its cover; otherwise the
+        vertex sets are compared, in O(|V|).
+        """
+        cover = self._cover
+        return cover is not None and cover() is g or self._assignment.keys() == g.vertices
 
     def community_graph_edit(self, g: WeightedGraph) -> Optional["CommunityGraphEdit"]:
         """A new edit over ``g`` that starts from this partition's community graph."""
@@ -580,7 +648,7 @@ class CommunityGraphEdit:
                 adj[a][b] = adj[b][a] = w
             else:
                 del adj[a][b], adj[b][a]
-        return WeightedGraph._assemble(adj, p._alpha, p._beta, self.g.total_weight)
+        return WeightedGraph._assemble(adj, p._alpha, p._beta, self.g._sum)
 
 
 def partition_rebuild_aggregates(g, assignment: Mapping[int, int]) -> Partition:
@@ -595,13 +663,15 @@ def partition_rebuild_aggregates(g, assignment: Mapping[int, int]) -> Partition:
 def modularity(g, p: Partition) -> float:
     """Modularity Q of ``p`` on ``g`` via the community-aggregate form.
 
+    O(communities) when ``p`` records ``g`` as its cover (see
+    :meth:`Partition.covers`), plus O(|V|) to check the cover otherwise.
     Raises :class:`EmptyGraphError` when the total weight is zero (Q is
     undefined; callers should treat such snapshots as unscored singletons).
     """
     m = g.total_weight
     if m <= 0.0:
         raise EmptyGraphError("modularity undefined for graphs with zero total weight")
-    if p.assignment.keys() != g.vertices:
+    if not p.covers(g):
         raise UnknownVertexError("partition does not cover exactly the graph's vertices")
     two_m = 2.0 * m
     total = 0.0

@@ -280,6 +280,12 @@ def intermediate_partition(
     and emptied communities drop. The edges of the vertices in new
     communities stay pending, so that level 0 of the resumed optimization
     counts them once, in the communities they end up in.
+
+    The result records ``g_t1`` as the graph it covers (see
+    :meth:`Partition.covers`) when ``g_t1`` is ``apply_delta(g_t, d)`` and
+    ``p_t`` covers ``g_t``: :func:`apply_delta` rejects an added vertex that
+    ``g_t`` holds and a removed one it lacks, so the keys, V(g_t) minus the
+    removed plus the added vertices, are exactly V(g_t1).
     """
     removed = d.removed_vertices
     old = p_t.assignment
@@ -362,7 +368,9 @@ def intermediate_partition(
         fresh = [c for c in members if c > top]
         edit.add(fresh)
         edit.pending = frozenset().union(*(members[c] for c in fresh))
-    return Partition(assign, members, alpha, beta, edit)
+    g_t = g_t1.derived_from(d)
+    cover = g_t1 if g_t is not None and p_t.covers(g_t) else None
+    return Partition(assign, members, alpha, beta, edit, cover)
 
 
 def dynamo_update(
@@ -386,11 +394,25 @@ def dynamo_update(
 
 
 def _check_consistency(g_t1: WeightedGraph, g_t: WeightedGraph, d: GraphDelta) -> None:
-    """Cheap validation that ``g_t + d`` matches ``g_t1``.
+    """Validation that ``g_t + d`` matches ``g_t1``.
+
+    Returns at once when ``g_t1`` records that :func:`apply_delta` built it
+    from ``g_t`` and ``d``: that function defines ``g_t + d``, so every check
+    of :func:`_check_snapshots` holds by construction. Any other triple runs
+    those checks.
+    """
+    if g_t1.derived_from(d) is not g_t:
+        _check_snapshots(g_t1, g_t, d)
+
+
+def _check_snapshots(g_t1: WeightedGraph, g_t: WeightedGraph, d: GraphDelta) -> None:
+    """The full check that ``g_t + d`` matches ``g_t1``, short of a graph compare.
 
     Checks vertex sets, that every changed edge joins vertices of either
-    snapshot, the net weight of every changed edge, and the total weight;
-    O(|delta| + |V| + deg(removed)) rather than a full graph compare.
+    snapshot, the net weight of every changed edge, and the total weight.
+    Building and comparing the vertex sets is O(|V|); the rest is
+    O(|delta| log |delta| + deg(removed) log deg(removed)), for the sorting
+    that fixes the order of the float sums.
     """
     expected_vertices = (g_t.vertices | d.added_vertices) - d.removed_vertices
     if expected_vertices != g_t1.vertices:

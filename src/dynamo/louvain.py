@@ -92,29 +92,29 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
         queued.remove(v)
         a = assign[v]
         k_v = strength_of(v)
-        s_v = self_of(v)
         nbrs = neighbors_of(v)
         w_to: dict[int, float] = {}
         for u, w in nbrs.items():
             cu = assign[u]
             w_to[cu] = w_to.get(cu, 0.0) + w
-        w_a = w_to.get(a, 0.0)
+        w_a = w_to.pop(a, 0.0)
         factor = k_v / two_m
         base = w_a - factor * (beta[a] - k_v)
 
+        # one unsorted scan picks what a scan in id order would: the largest
+        # gain, and of equal gains the smallest id
         best_gain = min_gain
         best_c = None
-        for c in sorted(w_to):
-            if c == a:
-                continue
-            gain = (w_to[c] - factor * beta[c]) - base
-            if gain > best_gain:
+        for c, w in w_to.items():
+            gain = (w - factor * beta[c]) - base
+            if gain > best_gain or gain == best_gain and best_c is not None and c < best_c:
                 best_gain = gain
                 best_c = c
 
         if best_c is None:
             continue
         b = best_c
+        s_v = self_of(v)
         alpha[a] -= 2.0 * w_a + s_v
         beta[a] -= k_v
         size[a] -= 1
@@ -125,10 +125,10 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
         size[b] += 1
         assign[v] = b
         moved.add(v)
-        for u in sorted(nbrs):
-            if assign[u] != b and u not in queued:
-                queue.append(u)
-                queued.add(u)
+        requeue = [u for u in nbrs if assign[u] != b and u not in queued]
+        requeue.sort()
+        queue.extend(requeue)
+        queued.update(requeue)
 
     members = {c: p.members(c) for c in size}
     lost: dict[int, list[int]] = {}
@@ -158,8 +158,10 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
 
     Alternates local moving and aggregation until a level moves nothing, then
     unfolds the hierarchy back to the original vertices. The returned
-    partition's modularity never falls below the initial one, and it carries
-    its community graph: the last level graph.
+    partition's modularity never falls below the initial one, it carries its
+    community graph (the last level graph), and it records ``g`` as the graph
+    it covers (see :meth:`Partition.covers`): ``initial`` was checked to
+    cover ``g``, or is all of its singletons.
 
     Community ids are stable. Level 0 keeps ``initial``'s ids (vertex ids for
     singletons), and a community that a higher level merges into another one
@@ -171,17 +173,21 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
     ``seeds`` is the queue that level 0's local moving starts from (all
     vertices by default); an empty set leaves level 0 as ``initial`` has it.
     Every level above 0 starts from all of its vertices.
+
+    The cover check is O(1) when ``initial`` records ``g``, as intermediate
+    partitions do, and the seed check is O(|seeds|).
     """
     if g.total_weight <= 0.0:
         raise EmptyGraphError("detection undefined for graphs with zero total weight")
 
     if initial is None:
         initial = Partition.singletons(g)
-    elif initial.assignment.keys() != g.vertices:
+    elif not initial.covers(g):
         raise UnknownVertexError("initial partition does not cover the graph")
     if seeds is not None:
         seeds = set(seeds)
-        stray = seeds - g.vertices
+        vertices = g.vertices
+        stray = [v for v in seeds if v not in vertices]
         if stray:
             raise UnknownVertexError(f"seed vertex {min(stray)} is not in the graph")
 
@@ -199,18 +205,20 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
         carried = bottom.community_graph
         level_graph = compress(g, bottom) if carried is None else carried
 
-    return _unfold(bottom, {c: x for c, x in merged.items() if c != x}, level_p, level_graph)
+    return _unfold(g, bottom, {c: x for c, x in merged.items() if c != x}, level_p,
+                   level_graph)
 
 
-def _unfold(bottom: Partition, merged: dict[int, int], top: Partition,
+def _unfold(g: WeightedGraph, bottom: Partition, merged: dict[int, int], top: Partition,
             top_graph: WeightedGraph) -> Partition:
     """Relabel the members of each level-0 community in ``merged`` to its final id.
 
     Aggregation preserves per-community aggregates exactly, so the final
-    level's alpha/beta transfer to the unfolded communities unchanged.
+    level's alpha/beta transfer to the unfolded communities unchanged. The
+    result records ``g``, which ``bottom`` covers, as its cover.
     """
     if not merged:
-        return bottom.with_community_graph(top_graph)
+        return bottom.with_community_graph(top_graph, g)
     assignment = dict(bottom.assignment)
     members = {c: bottom.members(c) for c in bottom.community_ids if c not in merged}
     parts: dict[int, list[frozenset[int]]] = {}
@@ -222,4 +230,4 @@ def _unfold(bottom: Partition, merged: dict[int, int], top: Partition,
         members[final] = members.get(final, frozenset()).union(*groups)
     alpha = {c: top.alpha(c) for c in top.community_ids}
     beta = {c: top.beta(c) for c in top.community_ids}
-    return Partition(assignment, members, alpha, beta, top_graph)
+    return Partition(assignment, members, alpha, beta, top_graph, g)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from dynamo import (
     UnknownVertexError,
     WeightedGraph,
     apply_delta,
+    louvain,
     modularity,
     partition_rebuild_aggregates,
 )
@@ -156,6 +159,42 @@ class TestApplyDelta:
         with pytest.raises(ValueError):
             GraphDelta(edge_changes=(EdgeChange(0, 2, dw),))
 
+    def test_records_its_predecessor_and_delta_only(self):
+        g = two_triangles()
+        d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
+        g1 = apply_delta(g, d)
+        assert g1.derived_from(d) is g
+        # an equal delta that is another object, a rebuilt copy, a fresh graph
+        assert g1.derived_from(GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))) is None
+        assert WeightedGraph(g1.copy_adjacency()).derived_from(d) is None
+        assert g.derived_from(d) is None
+
+    def test_record_keeps_neither_predecessor_nor_delta_alive(self):
+        g = two_triangles()
+        d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
+        g1 = apply_delta(g, d)
+        g_ref, d_ref = weakref.ref(g), weakref.ref(d)
+        del g
+        gc.collect()
+        assert g_ref() is None
+        assert g1.derived_from(d) is None  # a dead record matches nothing
+        del d
+        gc.collect()
+        assert d_ref() is None
+
+    def test_total_weight_exact_under_cancelling_changes(self):
+        # the running sum is exact, so it cannot drift from a rebuilt graph's
+        # however much cancels: a huge weight comes and goes around tiny ones
+        g = WeightedGraph.from_edges([(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3)])
+        for d in (GraphDelta(edge_changes=(EdgeChange(0, 2, 1e17), EdgeChange(1, 3, 0.7))),
+                  GraphDelta(edge_changes=(EdgeChange(0, 2, -1e17),)),
+                  GraphDelta(edge_changes=(EdgeChange(0, 1, -0.1), EdgeChange(2, 3, 1e-3))),
+                  GraphDelta(removed_vertices=frozenset({3})),
+                  GraphDelta(edge_changes=(EdgeChange(1, 2, -0.2),))):
+            g = apply_delta(g, d)
+            assert g.total_weight == WeightedGraph(g.copy_adjacency()).total_weight
+        assert g.total_weight == 0.0
+
 
 class TestModularity:
     def test_two_triangles_half(self):
@@ -184,6 +223,19 @@ class TestModularity:
         bigger = apply_delta(g, GraphDelta(added_vertices=frozenset({6})))
         with pytest.raises(UnknownVertexError):
             modularity(bigger, p)
+        # a detection result records the graph it ran on, and no other
+        with pytest.raises(UnknownVertexError):
+            modularity(bigger, louvain(g))
+
+    def test_recorded_cover_skips_the_vertex_compare(self, monkeypatch):
+        g = two_triangles()
+        p = louvain(g)
+        expected = modularity(g, p)
+
+        def no_vertex_sets(self):
+            raise AssertionError("vertex sets compared")
+        monkeypatch.setattr(WeightedGraph, "vertices", property(no_vertex_sets))
+        assert modularity(g, p) == expected
 
     def test_form_equivalence_random(self):
         # community-aggregate form against the pairwise double sum

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -404,6 +405,82 @@ class TestInitPlan:
         wrong = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(0, 1, 2.0),)))
         with pytest.raises(InconsistentSnapshotsError):
             init(wrong, g, p, d)
+
+
+class TestSnapshotRecord:
+    """``init`` skips the full snapshot check only for a pair that apply_delta built."""
+
+    @pytest.fixture
+    def full_checks(self, monkeypatch):
+        import dynamo.incremental as incremental
+        calls = []
+        full = incremental._check_snapshots
+
+        def counted(g_t1, g_t, d):
+            calls.append((g_t1, g_t, d))
+            full(g_t1, g_t, d)
+        monkeypatch.setattr(incremental, "_check_snapshots", counted)
+        return calls
+
+    def test_apply_delta_pair_skips_the_full_check(self, monkeypatch):
+        import dynamo.incremental as incremental
+
+        def refuse(g_t1, g_t, d):
+            raise AssertionError("full check ran")
+        monkeypatch.setattr(incremental, "_check_snapshots", refuse)
+        g, p = two_triangles()
+        d = GraphDelta(added_vertices=frozenset({6}), removed_vertices=frozenset({5}),
+                       edge_changes=(EdgeChange(0, 1, 1.0), EdgeChange(6, 4, 2.0)))
+        g1 = apply_delta(g, d)
+        assert_exact_aggregates(g1, dynamo_update(g1, g, p, d))
+
+    def test_rebuilt_copy_is_fully_checked_and_passes(self, full_checks):
+        g, p = two_triangles()
+        d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0), EdgeChange(2, 3, 0.5)))
+        rebuilt = WeightedGraph(apply_delta(g, d).copy_adjacency())
+        init(rebuilt, g, p, d)
+        assert full_checks == [(rebuilt, g, d)]
+
+    def test_other_delta_or_predecessor_is_fully_checked(self, full_checks):
+        g, p = two_triangles()
+        d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
+        g1 = apply_delta(g, d)
+        init(g1, g, p, GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),)))  # equal, not same
+        assert len(full_checks) == 1
+        with pytest.raises(InconsistentSnapshotsError, match="weight disagrees"):
+            init(g1, g, p, GraphDelta(edge_changes=(EdgeChange(0, 1, 2.0),)))
+        other = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(3, 4, 1.0),)))
+        with pytest.raises(InconsistentSnapshotsError, match="weight disagrees"):
+            init(g1, other, p, d)
+        assert len(full_checks) == 3
+
+    def test_dead_record_is_fully_checked(self, full_checks):
+        g, p = two_triangles()
+        d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
+        g1 = apply_delta(WeightedGraph(g.copy_adjacency()), d)  # its predecessor dies here
+        gc.collect()
+        assert g1.derived_from(d) is None
+        init(g1, g, p, d)
+        assert full_checks == [(g1, g, d)]
+        with pytest.raises(InconsistentSnapshotsError, match="vertex sets disagree"):
+            init(g1, apply_delta(g, GraphDelta(added_vertices=frozenset({6}))), p, d)
+
+    def test_intermediate_partition_records_only_a_checked_step(self):
+        g, p = two_triangles()
+        d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
+        g1 = apply_delta(g, d)
+        plan = init(g1, g, p, d)
+        assert intermediate_partition(g1, p, plan, d)._cover() is g1
+        rebuilt = WeightedGraph(g1.copy_adjacency())
+        assert intermediate_partition(rebuilt, p, plan, d)._cover is None
+        # a partition of another vertex set gets no record, so louvain checks it
+        smaller = Partition.from_assignment(
+            apply_delta(g, GraphDelta(removed_vertices=frozenset({5}))),
+            {v: c for v, c in p.assignment.items() if v != 5})
+        inter = intermediate_partition(g1, smaller, plan, d)
+        assert inter._cover is None
+        with pytest.raises(UnknownVertexError, match="initial partition does not cover"):
+            louvain(g1, initial=inter)
 
 
 def star_plus_path(degree):

@@ -221,6 +221,20 @@ class TestLouvain:
         with pytest.raises(UnknownVertexError, match="initial partition does not cover"):
             louvain(g, initial=Partition.singletons(other))
 
+    def test_result_records_only_its_own_graph(self):
+        # a detection result skips the cover check on its graph, on no other
+        g = bridged(0.5)
+        p = louvain(g)
+        assert p.covers(g)
+        assert louvain(g, initial=p).assignment == p.assignment
+        caller_built = Partition.from_assignment(g, p.assignment)
+        assert caller_built.covers(g)
+        for other in (WeightedGraph.from_edges(TRIANGLES + [(2, 3, 0.5), (5, 6, 1.0)]),
+                      WeightedGraph.from_edges(TRIANGLES[:4])):
+            assert not p.covers(other)
+            with pytest.raises(UnknownVertexError, match="initial partition does not cover"):
+                louvain(other, initial=p)
+
     def test_unknown_seed_raises(self):
         g = bridged(0.5)
         with pytest.raises(UnknownVertexError):

@@ -6,6 +6,8 @@ every partition it yields is checked against independent oracles: rebuilt
 aggregates, the community graph it carries and the pairwise modularity of
 ``helpers``. An invalid delta must
 fail with a typed :class:`DynamoError` and is then dropped from the stream.
+Each valid delta folded into the stream must also pass the full snapshot
+check against a rebuilt, unrecorded copy of its result.
 """
 
 import pytest
@@ -22,6 +24,7 @@ from dynamo import (
     partition_rebuild_aggregates,
     run_benchmark,
 )
+from dynamo.incremental import _check_consistency
 from dynamo.ingest import Snapshot
 from helpers import community_graph_mismatch, modularity_pairwise
 
@@ -38,7 +41,14 @@ class DeltaStream(RuleBasedStateMachine):
         self.latest: dict = {}  # algorithm -> its partition of the last snapshot run
 
     def push(self, delta: GraphDelta) -> None:
-        self.graph = apply_delta(self.graph, delta)
+        g1 = apply_delta(self.graph, delta)
+        # the update path skips the snapshot check for an apply_delta pair;
+        # the full check on an unrecorded copy must pass, and the running
+        # total weight must equal a rebuilt graph's bit for bit
+        rebuilt = WeightedGraph(g1.copy_adjacency())
+        _check_consistency(rebuilt, self.graph, delta)
+        assert g1.total_weight == rebuilt.total_weight
+        self.graph = g1
         self.deltas.append(delta)
 
     def run(self, deltas: list[GraphDelta]) -> list:
