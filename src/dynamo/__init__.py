@@ -12,7 +12,6 @@ from .errors import (
     DynamoError,
     EmptyGraphError,
     EmptyStreamError,
-    GraphTooLargeError,
     InconsistentSnapshotsError,
     InfeasibleChurnError,
     NegativeWeightError,
@@ -64,7 +63,7 @@ from .louvain import (
     local_moving_pass,
     louvain,
 )
-from .metrics import ConfusionTable, ari, exhaustive_best_partition, nmi
+from .metrics import ConfusionTable, ari, nmi
 from .synthgen import Churn, GenConfig, GeneratedScenario, generate
 
 __version__ = "0.1.0"

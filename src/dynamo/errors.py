@@ -37,10 +37,6 @@ class VertexSetMismatchError(DynamoError):
     """Two partitions being compared do not cover the same vertex set."""
 
 
-class GraphTooLargeError(DynamoError):
-    """Exhaustive partition search is guarded by a Bell-number size limit."""
-
-
 class ParseError(DynamoError):
     """An input file line could not be parsed; message carries the line number."""
 

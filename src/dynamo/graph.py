@@ -125,7 +125,7 @@ class WeightedGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     @property
     def total_weight(self) -> float:
@@ -134,9 +134,6 @@ class WeightedGraph:
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
 
     def weight(self, u: int, v: int) -> float:
         """Stored weight of edge ``(u, v)``, or 0.0 when absent."""
@@ -167,9 +164,6 @@ class WeightedGraph:
             for v in sorted(self._adj[u]):
                 if u < v:
                     yield u, v, self._adj[u][v]
-
-    def copy_adjacency(self) -> dict[int, dict[int, float]]:
-        return {u: dict(nbrs) for u, nbrs in self._adj.items()}
 
     def derived_from(self, d: "GraphDelta") -> Optional["WeightedGraph"]:
         """The graph that ``apply_delta(g, d)`` built this one from, or None.
@@ -237,13 +231,6 @@ class GraphDelta:
             if ec.delta_w == 0.0 or not math.isfinite(ec.delta_w):
                 raise ValueError(f"zero or non-finite edge change {ec.delta_w} "
                                  f"on ({ec.u},{ec.v})")
-
-    @classmethod
-    def empty(cls) -> "GraphDelta":
-        return cls()
-
-    def is_empty(self) -> bool:
-        return not (self.added_vertices or self.removed_vertices or self.edge_changes)
 
     def changes(self) -> Iterator[Change]:
         """All elements in deterministic order: additions, removals, then edge changes."""
@@ -425,14 +412,6 @@ class Partition:
             alpha[c] = a
             beta[c] = b
         return cls(assign, members, alpha, beta)
-
-    @classmethod
-    def from_communities(cls, g, communities: Iterable[Iterable[int]]) -> "Partition":
-        assignment: dict[int, int] = {}
-        for cid, group in enumerate(communities):
-            for v in group:
-                assignment[v] = cid
-        return cls.from_assignment(g, assignment)
 
     # -- read access --------------------------------------------------------
 

@@ -75,6 +75,7 @@ def run_benchmark(
                 step = partial(louvain, graph)
             partitions[name], elapsed[name] = _timed(step, config.repeat)
 
+        num_edges = graph.num_edges
         for name in pipelines:
             partition = partitions[name]
             score_nmi = score_ari = None
@@ -91,7 +92,7 @@ def run_benchmark(
                 elapsed_ns=elapsed[name],
                 cumulative_elapsed_ns=cumulative + elapsed[name],
                 num_vertices=graph.num_vertices,
-                num_edges=graph.num_edges,
+                num_edges=num_edges,
                 num_communities=partition.num_communities,
             ))
             if on_result is not None:

@@ -1,25 +1,19 @@
-"""Partition-quality and partition-similarity metrics, plus the exhaustive oracle.
+"""Partition-similarity metrics: NMI and ARI from one confusion table.
 
 ``nmi`` and ``ari`` compare two labelings of the same vertex set and are
-label-invariant and symmetric. ``exhaustive_best_partition`` enumerates every
-set partition of a small graph and is the ground-truth oracle the heuristics
-are tested against.
+label-invariant and symmetric. They use the standard library only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Union
 
-from .errors import EmptyGraphError, GraphTooLargeError, VertexSetMismatchError
+from .errors import VertexSetMismatchError
 from .graph import Partition
 
 Labeling = Union[Partition, Mapping[int, int]]
-
-_EXHAUSTIVE_MAX_VERTICES = 12  # Bell(12) ~ 4.2e6 partitions
-_CHUNK = 20_000
 
 
 def _labels(p: Labeling) -> Mapping[int, int]:
@@ -100,69 +94,6 @@ def nmi(c_t: Labeling, c_r: Labeling) -> float:
 def ari(c_t: Labeling, c_r: Labeling) -> float:
     """Adjusted rand index of two labelings (see :meth:`ConfusionTable.ari`)."""
     return ConfusionTable.from_partitions(c_t, c_r).ari()
-
-
-def exhaustive_best_partition(g) -> tuple[Partition, float]:
-    """Enumerate all set partitions and return a modularity maximizer with its Q.
-
-    Guarded to at most 12 vertices. Q is evaluated in the direct pairwise form,
-    independently of the aggregate-based :func:`modularity`. Exact ties are
-    broken by the lexicographically smallest canonical label string.
-    """
-    verts = sorted(g.vertices)
-    n = len(verts)
-    if n == 0:
-        raise EmptyGraphError("no vertices to partition")
-    if n > _EXHAUSTIVE_MAX_VERTICES:
-        raise GraphTooLargeError(f"{n} vertices exceed the exhaustive limit of "
-                                 f"{_EXHAUSTIVE_MAX_VERTICES}")
-    if g.total_weight <= 0.0:
-        raise EmptyGraphError("modularity undefined for graphs with zero total weight")
-    import numpy as np  # only this oracle needs numpy, so a `dynamo run` never loads it
-
-    index = {v: i for i, v in enumerate(verts)}
-    adjacency = np.zeros((n, n))
-    for v in verts:
-        adjacency[index[v], index[v]] = g.self_weight(v)
-        for nbr, w in g.neighbors(v).items():
-            adjacency[index[v], index[nbr]] = w
-    strengths = adjacency.sum(axis=1)
-    two_m = strengths.sum()
-
-    labelings = _all_partition_labels(n)
-    best_q = -np.inf
-    best_row = None
-    for start in range(0, labelings.shape[0], _CHUNK):
-        chunk = labelings[start:start + _CHUNK]
-        onehot = (chunk[:, :, None] == np.arange(n)[None, None, :]).astype(float)
-        spread = np.matmul(adjacency[None, :, :], onehot)
-        alpha = (onehot * spread).sum(axis=1)
-        beta = np.einsum("i,pic->pc", strengths, onehot)
-        q = (alpha - beta * beta / two_m).sum(axis=1) / two_m
-        pos = int(np.argmax(q))  # first occurrence keeps the lexicographic winner
-        if q[pos] > best_q:
-            best_q = float(q[pos])
-            best_row = chunk[pos].copy()
-
-    assignment = {verts[i]: int(best_row[i]) for i in range(n)}
-    return Partition.from_assignment(g, assignment), best_q
-
-
-@lru_cache(maxsize=8)
-def _all_partition_labels(n: int) -> np.ndarray:
-    """All restricted growth strings of length ``n``, lexicographically ordered."""
-    import numpy as np  # imported on first use, like in exhaustive_best_partition
-    labels = np.zeros((1, 1), dtype=np.int8)
-    highest = np.zeros(1, dtype=np.int8)
-    for _ in range(n - 1):
-        counts = highest.astype(np.int64) + 2
-        parents = np.repeat(np.arange(labels.shape[0]), counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        new_col = (np.arange(counts.sum()) - np.repeat(offsets, counts)).astype(np.int8)
-        labels = np.hstack([labels[parents], new_col[:, None]])
-        highest = np.maximum(highest[parents], new_col)
-    labels.setflags(write=False)
-    return labels
 
 
 def _entropy(sizes: dict[int, int], n: int) -> float:

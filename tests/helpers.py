@@ -1,25 +1,55 @@
 """Independent oracles and generators shared across the test suite.
 
 Everything here deliberately avoids the library's aggregate bookkeeping:
-modularity is evaluated from the raw pairwise definition and set partitions
-are enumerated by plain recursion, so these functions can serve as ground
-truth for the production code paths.
+modularity is evaluated from the raw pairwise definition, so these functions
+can serve as ground truth for the production code paths. Set partitions are
+enumerated two ways. ``exhaustive_best_partition`` is the oracle the tests
+use: a vectorised numpy search over restricted growth strings, guarded to at
+most 12 vertices. ``set_partitions`` and ``brute_force_best_q`` enumerate by
+plain recursion and serve only to check that oracle on small graphs.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, Mapping, Optional
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from dynamo import GraphDelta, EdgeChange, WeightedGraph, apply_delta
+from dynamo import (
+    DynamoError,
+    EdgeChange,
+    EmptyGraphError,
+    GraphDelta,
+    Partition,
+    WeightedGraph,
+    apply_delta,
+)
 from dynamo.louvain import EPSILON
 from dynamo.synthgen import GenConfig
 
 #: the 5k-vertex planted stream of the benchmark's edge-churn workload
 PLANTED_5K = GenConfig(seed=1, num_communities=20, community_size=250, p_in=0.06,
                        p_out=1e-4, num_snapshots=3)
+
+_EXHAUSTIVE_MAX_VERTICES = 12  # Bell(12) ~ 4.2e6 partitions
+_CHUNK = 20_000
+
+
+class GraphTooLargeError(DynamoError):
+    """Exhaustive partition search is guarded by a Bell-number size limit."""
+
+
+def partition_of(g, groups: Iterable[Iterable[int]]) -> Partition:
+    """The partition of ``g`` that puts the i-th group of vertices in community i."""
+    return Partition.from_assignment(g, {v: cid for cid, group in enumerate(groups)
+                                         for v in group})
+
+
+def adjacency(g) -> dict[int, dict[int, float]]:
+    """A deep copy of ``g``'s neighbour-to-weight rows, one per vertex."""
+    return {v: dict(g.neighbors(v)) for v in g.vertices}
 
 
 def modularity_pairwise(g, labels: Mapping[int, int]) -> float:
@@ -148,6 +178,67 @@ def brute_force_best_q(g) -> float:
         labels = {v: i for i, block in enumerate(blocks) for v in block}
         best = max(best, modularity_pairwise(g, labels))
     return best
+
+
+def exhaustive_best_partition(g) -> tuple[Partition, float]:
+    """Enumerate all set partitions and return a modularity maximizer with its Q.
+
+    Guarded to at most 12 vertices. Q is evaluated in the direct pairwise form,
+    independently of the aggregate-based :func:`modularity`. Exact ties are
+    broken by the lexicographically smallest canonical label string.
+    """
+    verts = sorted(g.vertices)
+    n = len(verts)
+    if n == 0:
+        raise EmptyGraphError("no vertices to partition")
+    if n > _EXHAUSTIVE_MAX_VERTICES:
+        raise GraphTooLargeError(f"{n} vertices exceed the exhaustive limit of "
+                                 f"{_EXHAUSTIVE_MAX_VERTICES}")
+    if g.total_weight <= 0.0:
+        raise EmptyGraphError("modularity undefined for graphs with zero total weight")
+
+    index = {v: i for i, v in enumerate(verts)}
+    adjacency = np.zeros((n, n))
+    for v in verts:
+        adjacency[index[v], index[v]] = g.self_weight(v)
+        for nbr, w in g.neighbors(v).items():
+            adjacency[index[v], index[nbr]] = w
+    strengths = adjacency.sum(axis=1)
+    two_m = strengths.sum()
+
+    labelings = _all_partition_labels(n)
+    best_q = -np.inf
+    best_row = None
+    for start in range(0, labelings.shape[0], _CHUNK):
+        chunk = labelings[start:start + _CHUNK]
+        onehot = (chunk[:, :, None] == np.arange(n)[None, None, :]).astype(float)
+        spread = np.matmul(adjacency[None, :, :], onehot)
+        alpha = (onehot * spread).sum(axis=1)
+        beta = np.einsum("i,pic->pc", strengths, onehot)
+        q = (alpha - beta * beta / two_m).sum(axis=1) / two_m
+        pos = int(np.argmax(q))  # first occurrence keeps the lexicographic winner
+        if q[pos] > best_q:
+            best_q = float(q[pos])
+            best_row = chunk[pos].copy()
+
+    assignment = {verts[i]: int(best_row[i]) for i in range(n)}
+    return Partition.from_assignment(g, assignment), best_q
+
+
+@lru_cache(maxsize=8)
+def _all_partition_labels(n: int) -> np.ndarray:
+    """All restricted growth strings of length ``n``, lexicographically ordered."""
+    labels = np.zeros((1, 1), dtype=np.int8)
+    highest = np.zeros(1, dtype=np.int8)
+    for _ in range(n - 1):
+        counts = highest.astype(np.int64) + 2
+        parents = np.repeat(np.arange(labels.shape[0]), counts)
+        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        new_col = (np.arange(counts.sum()) - np.repeat(offsets, counts)).astype(np.int8)
+        labels = np.hstack([labels[parents], new_col[:, None]])
+        highest = np.maximum(highest[parents], new_col)
+    labels.setflags(write=False)
+    return labels
 
 
 def random_graph(rng: random.Random, n: int, p: float,

@@ -19,14 +19,12 @@ import pytest
 from dynamo import (
     EdgeChange,
     GraphDelta,
-    Partition,
     RunConfig,
     WeightedGraph,
     apply_delta,
     ari,
     ccea_merge_threshold,
     dynamo_update,
-    exhaustive_best_partition,
     louvain,
     modularity,
     nmi,
@@ -35,7 +33,14 @@ from dynamo import (
 )
 from dynamo.cli import main as cli_main
 from dynamo.synthgen import Churn, GenConfig, generate
-from helpers import community_graph_mismatch, modularity_pairwise, random_graph, snapshot_graphs
+from helpers import (
+    community_graph_mismatch,
+    exhaustive_best_partition,
+    modularity_pairwise,
+    partition_of,
+    random_graph,
+    snapshot_graphs,
+)
 
 BENCH_SEEDS = range(20)
 BENCH_CONFIG = dict(num_communities=4, community_size=50, p_in=0.3, p_out=0.01,
@@ -116,7 +121,7 @@ def test_criterion_2_speedup(benchmark_runs):
 def test_criterion_3_merge_threshold_crossover():
     g = WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
                                   (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
-    p = Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}])
+    p = partition_of(g, [{0, 1, 2}, {3, 4, 5}])
     canonical = ccea_merge_threshold(g, p, 0, 3)
     assert canonical == pytest.approx(6.0, abs=1e-9)
 

@@ -380,7 +380,8 @@ class TestEntrypoint:
         assert out.startswith("snapshot,algorithm,")
 
     def test_run_never_imports_numpy(self, tmp_path):
-        # numpy serves only the exhaustive oracle; a run must not pay for loading it
+        # numpy serves only the tests' oracles; the package never imports it, and this
+        # runs the `dynamo run` path the source rules only parse
         source = tmp_path / "scenario"
         generate(GenConfig(seed=1, num_communities=2, community_size=8, p_in=0.5,
                            p_out=0.08, num_snapshots=3)).write(source)

@@ -8,13 +8,18 @@ from dynamo import (
     UnknownVertexError,
     WeightedGraph,
     compress,
-    exhaustive_best_partition,
     local_moving_pass,
     louvain,
     modularity,
     partition_rebuild_aggregates,
 )
-from helpers import community_graph_mismatch, modularity_pairwise, random_graph
+from helpers import (
+    community_graph_mismatch,
+    exhaustive_best_partition,
+    modularity_pairwise,
+    partition_of,
+    random_graph,
+)
 
 TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
@@ -36,7 +41,7 @@ class TestLocalMovingPass:
 
     def test_local_optimum_is_fixed_point(self):
         g = WeightedGraph.from_edges(TRIANGLES)
-        p0 = Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}])
+        p0 = partition_of(g, [{0, 1, 2}, {3, 4, 5}])
         p = local_moving_pass(g, p0)
         assert p == p0
 
@@ -76,7 +81,7 @@ class TestCompress:
 
     def test_two_triangles_with_bridge(self):
         g = bridged(1.0)
-        p = Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}])
+        p = partition_of(g, [{0, 1, 2}, {3, 4, 5}])
         comp = compress(g, p)
         assert comp.num_vertices == 2
         assert comp.self_weight(0) == pytest.approx(6.0, abs=1e-12)
@@ -85,7 +90,7 @@ class TestCompress:
 
     def test_single_community_self_weight_two_m(self):
         g = WeightedGraph.from_edges(TRIANGLES)
-        p = Partition.from_communities(g, [set(g.vertices)])
+        p = partition_of(g, [set(g.vertices)])
         comp = compress(g, p)
         assert comp.num_vertices == 1
         assert comp.self_weight(0) == pytest.approx(2.0 * g.total_weight, abs=1e-9)
@@ -125,19 +130,19 @@ class TestCompress:
 
     def test_equality_tells_self_weights_apart(self):
         g = bridged(1.0)
-        comp = compress(g, Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}]))
+        comp = compress(g, partition_of(g, [{0, 1, 2}, {3, 4, 5}]))
         plain = WeightedGraph.from_edges([(0, 1, 1.0)])
         assert dict(comp.neighbors(0)) == dict(plain.neighbors(0))
         assert comp != plain
-        assert comp == compress(g, Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}]))
+        assert comp == compress(g, partition_of(g, [{0, 1, 2}, {3, 4, 5}]))
         # zero self weights compare equal to none
         assert compress(plain, Partition.singletons(plain)) == plain
 
     def test_double_compression_carries_alpha(self):
         g = bridged(1.0)
-        p = Partition.from_communities(g, [{0, 1, 2}, {3, 4, 5}])
+        p = partition_of(g, [{0, 1, 2}, {3, 4, 5}])
         comp = compress(g, p)
-        comp2 = compress(comp, Partition.from_communities(comp, [{0, 1}]))
+        comp2 = compress(comp, partition_of(comp, [{0, 1}]))
         assert comp2.self_weight(0) == pytest.approx(2.0 * g.total_weight, abs=1e-9)
 
 
@@ -244,7 +249,7 @@ class TestLouvain:
         g = bridged(0.5)
         assert louvain(g, seeds=()).as_sets() == Partition.singletons(g).as_sets()
         # upper levels still run, but only merge whole initial communities
-        initial = Partition.from_communities(g, [{0, 1}, {2}, {3, 4}, {5}])
+        initial = partition_of(g, [{0, 1}, {2}, {3, 4}, {5}])
         out = louvain(g, initial=initial, seeds=set())
         for block in initial.as_sets():
             assert len({out.community_of(v) for v in block}) == 1

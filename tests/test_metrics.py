@@ -6,18 +6,21 @@ from hypothesis import given, settings, strategies as st
 from dynamo import (
     ConfusionTable,
     EmptyGraphError,
-    GraphTooLargeError,
-    Partition,
     VertexSetMismatchError,
     WeightedGraph,
     ari,
-    exhaustive_best_partition,
     louvain,
     modularity,
     nmi,
     partition_rebuild_aggregates,
 )
-from helpers import brute_force_best_q, random_graph
+from helpers import (
+    GraphTooLargeError,
+    brute_force_best_q,
+    exhaustive_best_partition,
+    partition_of,
+    random_graph,
+)
 
 FOUR = {"a": 0, "b": 0, "c": 1, "d": 1}
 FOUR_SPLIT = {"a": 0, "b": 0, "c": 1, "d": 2}      # {{a,b},{c},{d}}
@@ -59,7 +62,7 @@ class TestNmi:
 
     def test_accepts_partition_objects(self):
         g = WeightedGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
-        p = Partition.from_communities(g, [{0, 1}, {2, 3}])
+        p = partition_of(g, [{0, 1}, {2, 3}])
         assert nmi(p, p) == 1.0
 
 

@@ -26,7 +26,7 @@ from dynamo import (
 )
 from dynamo.incremental import _check_consistency
 from dynamo.ingest import Snapshot
-from helpers import community_graph_mismatch, modularity_pairwise
+from helpers import adjacency, community_graph_mismatch, modularity_pairwise
 
 WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.5])
 
@@ -45,7 +45,7 @@ class DeltaStream(RuleBasedStateMachine):
         # the update path skips the snapshot check for an apply_delta pair;
         # the full check on an unrecorded copy must pass, and the running
         # total weight must equal a rebuilt graph's bit for bit
-        rebuilt = WeightedGraph(g1.copy_adjacency())
+        rebuilt = WeightedGraph(adjacency(g1))
         _check_consistency(rebuilt, self.graph, delta)
         assert g1.total_weight == rebuilt.total_weight
         self.graph = g1
@@ -121,7 +121,7 @@ class DeltaStream(RuleBasedStateMachine):
 
     @rule()
     def empty_delta(self):
-        self.push(GraphDelta.empty())
+        self.push(GraphDelta())
 
     # -- invalid deltas -------------------------------------------------------
 

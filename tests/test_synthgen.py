@@ -1,6 +1,7 @@
 import pytest
 
 from dynamo import (
+    GraphDelta,
     InfeasibleChurnError,
     apply_delta,
     classify,
@@ -41,7 +42,7 @@ class TestGenerate:
         scenario = generate(cfg)
         g0 = scenario.graphs[0]
         for snap, graph in zip(scenario.snapshots[1:], scenario.graphs[1:]):
-            assert snap.delta.is_empty()
+            assert snap.delta == GraphDelta()
             assert graph == g0
 
     def test_deterministic_in_seed(self):
