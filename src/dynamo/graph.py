@@ -132,9 +132,6 @@ class WeightedGraph:
         """Sum of all edge weights, each undirected edge counted once (the symbol m)."""
         return 0.5 * self._sum[0]
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
     def weight(self, u: int, v: int) -> float:
         """Stored weight of edge ``(u, v)``, or 0.0 when absent."""
         nbrs = self._adj.get(u)

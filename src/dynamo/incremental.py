@@ -60,13 +60,14 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping
 
-from .errors import InconsistentSnapshotsError, SameCommunityError
+from .errors import DynamoError, InconsistentSnapshotsError, SameCommunityError
 from .graph import (
     GraphDelta,
     Partition,
     VertexAddition,
     VertexRemoval,
     WeightedGraph,
+    apply_delta,
 )
 from .louvain import compress, louvain
 
@@ -177,8 +178,13 @@ def init(
     dissolves anyway they need nothing more. Otherwise the endpoints and their
     neighbours inside the community are freed and their outside neighbours
     are queued; a community left with no member dissolves instead.
+
+    Raises :class:`InconsistentSnapshotsError` unless ``g_t1`` is ``g_t + d``,
+    which holds by construction when :func:`apply_delta` built ``g_t1`` from
+    ``g_t`` and ``d``.
     """
-    _check_consistency(g_t1, g_t, d)
+    if g_t1.derived_from(d) is not g_t:
+        _check_snapshots(g_t1, g_t, d)
 
     dissolve: set[int] = set()
     pair_of: dict[int, frozenset[int]] = {}
@@ -393,57 +399,25 @@ def dynamo_update(
     return louvain(g_t1, initial=intermediate_partition(g_t1, p_t, plan, d), seeds=plan.seeds)
 
 
-def _check_consistency(g_t1: WeightedGraph, g_t: WeightedGraph, d: GraphDelta) -> None:
-    """Validation that ``g_t + d`` matches ``g_t1``.
-
-    Returns at once when ``g_t1`` records that :func:`apply_delta` built it
-    from ``g_t`` and ``d``: that function defines ``g_t + d``, so every check
-    of :func:`_check_snapshots` holds by construction. Any other triple runs
-    those checks.
-    """
-    if g_t1.derived_from(d) is not g_t:
-        _check_snapshots(g_t1, g_t, d)
-
-
 def _check_snapshots(g_t1: WeightedGraph, g_t: WeightedGraph, d: GraphDelta) -> None:
     """The full check that ``g_t + d`` matches ``g_t1``, short of a graph compare.
 
-    Checks vertex sets, that every changed edge joins vertices of either
-    snapshot, the net weight of every changed edge, and the total weight.
-    Building and comparing the vertex sets is O(|V|); the rest is
-    O(|delta| log |delta| + deg(removed) log deg(removed)), for the sorting
-    that fixes the order of the float sums.
+    Applies ``d`` to ``g_t`` with :func:`apply_delta`, which defines ``g_t + d``
+    and rejects a delta that does not apply, then compares the vertex sets, the
+    weight of every changed edge, and the total weight. O(|V| + the rows the
+    delta touches).
     """
-    expected_vertices = (g_t.vertices | d.added_vertices) - d.removed_vertices
-    if expected_vertices != g_t1.vertices:
+    try:
+        expected = apply_delta(g_t, d)
+    except DynamoError as e:
+        raise InconsistentSnapshotsError(
+            f"the delta does not apply to the old snapshot: {e}") from e
+    if expected.vertices != g_t1.vertices:
         raise InconsistentSnapshotsError("vertex sets disagree with the delta")
-
-    net: dict[tuple[int, int], float] = {}
-    for u, v, dw in d.edge_changes:
-        for x in (u, v):
-            if not (g_t.has_vertex(x) or g_t1.has_vertex(x)):
-                raise InconsistentSnapshotsError(f"edge change references vertex {x}, "
-                                                 f"which is in neither snapshot")
-        key = (u, v) if u < v else (v, u)
-        net[key] = net.get(key, 0.0) + dw
-
     tol = 1e-6 * max(1.0, g_t.total_weight)
-    expected_m = g_t.total_weight + sum(net[k] for k in sorted(net))
-    seen: set[tuple[int, int]] = set()
-    for k in sorted(d.removed_vertices):
-        for l in sorted(g_t.neighbors(k)):
-            key = (k, l) if k < l else (l, k)
-            if key not in seen:
-                seen.add(key)
-                expected_m -= g_t.weight(k, l) + net.get(key, 0.0)
-    for key in sorted(net):
-        a, b = key
-        if key in seen:
-            continue
-        if a in d.removed_vertices or b in d.removed_vertices:
-            expected_m -= net[key]  # edge created then dropped with its vertex
-            seen.add(key)
-        elif abs(g_t1.weight(a, b) - (g_t.weight(a, b) + net[key])) > tol:
-            raise InconsistentSnapshotsError(f"edge {key} weight disagrees with the delta")
-    if abs(expected_m - g_t1.total_weight) > tol:
+    for u, v, _ in d.edge_changes:
+        if abs(g_t1.weight(u, v) - expected.weight(u, v)) > tol:
+            raise InconsistentSnapshotsError(
+                f"edge {(min(u, v), max(u, v))} weight disagrees with the delta")
+    if abs(expected.total_weight - g_t1.total_weight) > tol:
         raise InconsistentSnapshotsError("total weight disagrees with the delta")

@@ -233,6 +233,11 @@ def _draw_delta(
     def norm(u: int, v: int) -> tuple[int, int]:
         return (u, v) if u < v else (v, u)
 
+    def record(ec: EdgeChange, kind: ChangeKind) -> None:
+        edge_changes.append(ec)
+        labels.append((ec, kind))
+        touched.add(norm(ec.u, ec.v))
+
     # vertex additions, each wired like a planted member of its block
     new_members: dict[int, int] = {}
     for _ in range(churn.vertex_add):
@@ -254,9 +259,7 @@ def _draw_delta(
         added.append(k)
         labels.append((VertexAddition(k), ChangeKind.VERTEX_ADD))
         for ec in incident:
-            edge_changes.append(ec)
-            labels.append((ec, ChangeKind.VERTEX_ADD))
-            touched.add(norm(ec.u, ec.v))
+            record(ec, ChangeKind.VERTEX_ADD)
         new_members[k] = block
 
     def draw_pair(same_block: bool) -> tuple[int, int]:
@@ -290,32 +293,16 @@ def _draw_delta(
             raise InfeasibleChurnError(f"no {kind}-community edge left to decrease")
         return candidates[rng.randrange(len(candidates))]
 
-    for _ in range(churn.icea):
-        u, v = draw_pair(same_block=True)
-        ec = EdgeChange(*norm(u, v), rng.uniform(lo, hi))
-        edge_changes.append(ec)
-        labels.append((ec, ChangeKind.ICEA_WI))
-        touched.add(norm(u, v))
-    for _ in range(churn.ccea):
-        u, v = draw_pair(same_block=False)
-        ec = EdgeChange(*norm(u, v), rng.uniform(lo, hi))
-        edge_changes.append(ec)
-        labels.append((ec, ChangeKind.CCEA_WI))
-        touched.add(norm(u, v))
-    for _ in range(churn.iced):
-        u, v, w = draw_existing_edge(same_block=True)
-        dw = -w if rng.random() < 0.5 else -w * rng.uniform(0.3, 0.7)
-        ec = EdgeChange(u, v, dw)
-        edge_changes.append(ec)
-        labels.append((ec, ChangeKind.ICED_WD))
-        touched.add(norm(u, v))
-    for _ in range(churn.cced):
-        u, v, w = draw_existing_edge(same_block=False)
-        dw = -w if rng.random() < 0.5 else -w * rng.uniform(0.3, 0.7)
-        ec = EdgeChange(u, v, dw)
-        edge_changes.append(ec)
-        labels.append((ec, ChangeKind.CCED_WD))
-        touched.add(norm(u, v))
+    for count, same_block, kind in ((churn.icea, True, ChangeKind.ICEA_WI),
+                                    (churn.ccea, False, ChangeKind.CCEA_WI)):
+        for _ in range(count):
+            record(EdgeChange(*norm(*draw_pair(same_block)), rng.uniform(lo, hi)), kind)
+    for count, same_block, kind in ((churn.iced, True, ChangeKind.ICED_WD),
+                                    (churn.cced, False, ChangeKind.CCED_WD)):
+        for _ in range(count):
+            u, v, w = draw_existing_edge(same_block)
+            dw = -w if rng.random() < 0.5 else -w * rng.uniform(0.3, 0.7)
+            record(EdgeChange(u, v, dw), kind)
 
     membership.update(new_members)
     delta = GraphDelta(frozenset(added), frozenset(removed), tuple(edge_changes))

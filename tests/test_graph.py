@@ -52,7 +52,7 @@ class TestWeightedGraph:
 
     def test_isolated_vertices(self):
         g = WeightedGraph.from_edges([(0, 1, 1.0)], vertices=[7])
-        assert g.has_vertex(7)
+        assert 7 in g.vertices
         assert g.strength(7) == 0.0
         assert g.num_vertices == 3
 
@@ -122,7 +122,7 @@ class TestApplyDelta:
         g = WeightedGraph.from_edges([(0, 1, 1.5), (1, 2, 1.0)])
         out = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(0, 1, -1.5),)))
         assert out.weight(0, 1) == 0.0
-        assert out.has_vertex(0)
+        assert 0 in out.vertices
 
     def test_excessive_decrease_rejected(self):
         g = WeightedGraph.from_edges([(0, 1, 1.0)])

@@ -407,6 +407,13 @@ class TestInitPlan:
         wrong = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(0, 1, 2.0),)))
         with pytest.raises(InconsistentSnapshotsError):
             init(wrong, g, p, d)
+        moved = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(3, 4, 1.0),)))
+        with pytest.raises(InconsistentSnapshotsError, match=r"edge \(0, 1\) weight"):
+            init(moved, g, p, d)  # same total weight, on another edge
+        readd = GraphDelta(added_vertices=frozenset({5}))  # g already holds 5
+        for step in (init, dynamo_update):
+            with pytest.raises(InconsistentSnapshotsError, match="does not apply"):
+                step(g, g, p, readd)
 
 
 class TestSnapshotRecord:

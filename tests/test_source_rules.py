@@ -57,3 +57,19 @@ def test_project_declares_no_runtime_dependency():
     assert project.get("dependencies", []) == []
     test_extra = project["optional-dependencies"]["test"]
     assert any(req.startswith("numpy") for req in test_extra), test_extra
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graph.py"],
+                         ids=lambda p: p.name)
+def test_private_attributes_stay_in_graph(path):
+    # graphs and partitions are read through their methods outside graph.py, so a
+    # check cannot walk adjacency rows unseen by a graph that counts its reads
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and _is_private(node.attr)
+             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    assert not lines, f"{path.name} reads private attributes of other objects: {lines}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))

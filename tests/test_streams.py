@@ -4,10 +4,10 @@ Hypothesis grows a snapshot stream one delta at a time. After every step the
 whole stream so far runs through :func:`run_benchmark` with both pipelines, and
 every partition it yields is checked against independent oracles: rebuilt
 aggregates, the community graph it carries and the pairwise modularity of
-``helpers``. An invalid delta must
-fail with a typed :class:`DynamoError` and is then dropped from the stream.
-Each valid delta folded into the stream must also pass the full snapshot
-check against a rebuilt, unrecorded copy of its result.
+``helpers``. An invalid delta must fail with a typed :class:`DynamoError`,
+and the full snapshot check must refuse it, before it is dropped from the
+stream. Each valid delta folded into the stream must also pass that check
+against a rebuilt, unrecorded copy of its result.
 """
 
 import pytest
@@ -18,13 +18,14 @@ from dynamo import (
     DynamoError,
     EdgeChange,
     GraphDelta,
+    InconsistentSnapshotsError,
     RunConfig,
     WeightedGraph,
     apply_delta,
     partition_rebuild_aggregates,
     run_benchmark,
 )
-from dynamo.incremental import _check_consistency
+from dynamo.incremental import _check_snapshots
 from dynamo.ingest import Snapshot
 from helpers import adjacency, community_graph_mismatch, modularity_pairwise
 
@@ -46,7 +47,7 @@ class DeltaStream(RuleBasedStateMachine):
         # the full check on an unrecorded copy must pass, and the running
         # total weight must equal a rebuilt graph's bit for bit
         rebuilt = WeightedGraph(adjacency(g1))
-        _check_consistency(rebuilt, self.graph, delta)
+        _check_snapshots(rebuilt, self.graph, delta)
         assert g1.total_weight == rebuilt.total_weight
         self.graph = g1
         self.deltas.append(delta)
@@ -140,6 +141,8 @@ class DeltaStream(RuleBasedStateMachine):
             bad = GraphDelta(removed_vertices=frozenset({unknown}))
         with pytest.raises(DynamoError):
             self.run(self.deltas + [bad])
+        with pytest.raises(InconsistentSnapshotsError):
+            _check_snapshots(self.graph, self.graph, bad)
 
     # -- the invariant --------------------------------------------------------
 
