@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import synthgen
 from .errors import DynamoError, InfeasibleChurnError
-from .graph import WeightedGraph
+from .graph import EdgeChange, GraphDelta, WeightedGraph, apply_delta
 from .harness import ALGORITHMS, RunConfig, run_benchmark
 from .ingest import (
     format_partition,
@@ -141,7 +141,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_detect(args) -> int:
     events = parse_edge_events(args.input)
-    graph = WeightedGraph.from_edges((e.u, e.v, e.weight) for e in events)
+    vertices = frozenset(v for e in events for v in (e.u, e.v))
+    changes = tuple(EdgeChange(e.u, e.v, e.weight) for e in events)
+    graph = apply_delta(WeightedGraph.empty(), GraphDelta(vertices, frozenset(), changes))
     labels = louvain(graph).relabeled()  # communities 0..k-1 by smallest member
     if args.output == "-":
         sys.stdout.write(format_partition(labels))

@@ -41,10 +41,10 @@ _RESIDUE = 1e-9
 class WeightedGraph:
     """Undirected weighted graph with cached strengths and total weight.
 
-    Instances are immutable once constructed; all mutation goes through
-    :func:`apply_delta`, which returns a new graph. Edge weights are strictly
-    positive; parallel edges collapse into a single summed weight at
-    construction and self-loops are rejected.
+    Instances are immutable once constructed. :func:`apply_delta` builds every
+    input graph, from :meth:`empty` or from the previous snapshot, and returns
+    a new graph. Edge weights are strictly positive; repeated changes to one
+    pair sum into a single weight and self-loops are rejected.
 
     The one exception is the per-vertex self weight of an aggregated level,
     which only :class:`CommunityGraphEdit` produces (and with it
@@ -85,32 +85,6 @@ class WeightedGraph:
     @classmethod
     def empty(cls) -> "WeightedGraph":
         return cls({})
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[int, int, float]],
-        vertices: Iterable[int] = (),
-    ) -> "WeightedGraph":
-        """Build a graph from ``(u, v, weight)`` triples plus optional isolated vertices.
-
-        Repeated ``(u, v)`` pairs accumulate weight. Raises
-        :class:`SelfLoopError` for ``u == v`` and :class:`NegativeWeightError`
-        for non-positive or non-finite weights.
-        """
-        adj: dict[int, dict[int, float]] = {int(v): {} for v in vertices}
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise SelfLoopError(f"self-loop on vertex {u}")
-            if not 0.0 < w < math.inf:
-                raise NegativeWeightError(f"edge ({u},{v}) has non-positive or non-finite "
-                                          f"weight {w}")
-            adj.setdefault(u, {})
-            adj.setdefault(v, {})
-            adj[u][v] = adj[u].get(v, 0.0) + w
-            adj[v][u] = adj[u][v]
-        return cls(adj)
 
     # -- read access ------------------------------------------------------
 
@@ -345,10 +319,10 @@ class Partition:
     strengths. Detection results carry it, and the incremental updater edits
     it instead of rebuilding it; partitions built here carry none.
 
-    A partition may also record, by weak reference, a graph whose vertices its
-    assignment covers exactly, so that :meth:`covers` need not compare vertex
-    sets. Detection results and the incremental updater's intermediate
-    partitions record one; partitions built here record none.
+    A partition may also record, by weak reference, the graph whose aggregates
+    it holds, so that :meth:`covers` need not compare vertex sets and refuses
+    every other graph. :meth:`singletons`, :meth:`from_assignment`, detection
+    results and the incremental updater's intermediate partitions record one.
     """
 
     __slots__ = ("_assignment", "_members", "_alpha", "_beta", "_graph", "_cover")
@@ -378,7 +352,7 @@ class Partition:
         members = {v: frozenset((v,)) for v in g.vertices}
         alpha = {v: g.self_weight(v) for v in g.vertices}
         beta = {v: g.strength(v) for v in g.vertices}
-        return cls(assignment, members, alpha, beta)
+        return cls(assignment, members, alpha, beta, cover=g)
 
     @classmethod
     def from_assignment(cls, g, assignment: Mapping[int, int]) -> "Partition":
@@ -408,7 +382,7 @@ class Partition:
                         a += w  # ordered pairs: each internal edge counted from both ends
             alpha[c] = a
             beta[c] = b
-        return cls(assign, members, alpha, beta)
+        return cls(assign, members, alpha, beta, cover=g)
 
     # -- read access --------------------------------------------------------
 
@@ -457,13 +431,17 @@ class Partition:
         return Partition(self._assignment, self._members, self._alpha, self._beta, h, cover)
 
     def covers(self, g) -> bool:
-        """Whether the assignment covers exactly the vertices of ``g``.
+        """Whether ``alpha`` and ``beta`` hold for ``g`` and the assignment covers its vertices.
 
-        O(1) when this partition records ``g`` as its cover; otherwise the
-        vertex sets are compared, in O(|V|).
+        A partition that records a graph still alive covers that graph only,
+        in O(1): aggregates taken on another graph with the same vertices
+        would score it wrongly. With no live record the vertex sets are
+        compared, in O(|V|).
         """
-        cover = self._cover
-        return cover is not None and cover() is g or self._assignment.keys() == g.vertices
+        recorded = None if self._cover is None else self._cover()
+        if recorded is not None:
+            return recorded is g
+        return self._assignment.keys() == g.vertices
 
     def community_graph_edit(self, g: WeightedGraph) -> Optional["CommunityGraphEdit"]:
         """A new edit over ``g`` that starts from this partition's community graph."""

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     ConflictingDeltaError,
@@ -57,33 +57,44 @@ class Snapshot:
     delta: GraphDelta
 
 
+def _lines(path: PathLike) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped line)`` for each line that is neither blank nor a comment.
+
+    Bytes that are not UTF-8 raise :class:`ParseError`; decoding is buffered, so no line is named.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def parse_edge_events(path: PathLike) -> list[EdgeEvent]:
     """Read an edge-event file, preserving file order."""
     events: list[EdgeEvent] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            try:
-                if len(fields) == 3:
-                    u, v, ts = int(fields[0]), int(fields[1]), int(fields[2])
-                    w = 1.0
-                elif len(fields) == 4:
-                    u, v, w, ts = (int(fields[0]), int(fields[1]),
-                                   float(fields[2]), int(fields[3]))
-                else:
-                    raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
-                if not math.isfinite(w):
-                    raise ValueError(f"non-finite weight {w}")
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if u == v:
-                raise SelfLoopError(f"{path}:{lineno}: self-loop on vertex {u}")
-            if w <= 0.0:
-                raise NegativeWeightError(f"{path}:{lineno}: non-positive weight {w}")
-            events.append(EdgeEvent(u, v, w, ts))
+    for lineno, line in _lines(path):
+        fields = line.split("\t")
+        try:
+            if len(fields) == 3:
+                u, v, ts = int(fields[0]), int(fields[1]), int(fields[2])
+                w = 1.0
+            elif len(fields) == 4:
+                u, v, w, ts = (int(fields[0]), int(fields[1]),
+                               float(fields[2]), int(fields[3]))
+            else:
+                raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w}")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if u == v:
+            raise SelfLoopError(f"{path}:{lineno}: self-loop on vertex {u}")
+        if w <= 0.0:
+            raise NegativeWeightError(f"{path}:{lineno}: non-positive weight {w}")
+        events.append(EdgeEvent(u, v, w, ts))
     return events
 
 
@@ -136,28 +147,24 @@ def parse_delta_file(path: PathLike) -> GraphDelta:
     added: set[int] = set()
     removed: set[int] = set()
     changes: list[EdgeChange] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            try:
-                if fields[0] == "AV" and len(fields) == 2:
-                    added.add(int(fields[1]))
-                elif fields[0] == "DV" and len(fields) == 2:
-                    removed.add(int(fields[1]))
-                elif fields[0] == "EW" and len(fields) == 4:
-                    dw = float(fields[3])
-                    if dw == 0.0:
-                        raise ValueError("zero weight change")
-                    if not math.isfinite(dw):
-                        raise ValueError(f"non-finite weight change {dw}")
-                    changes.append(EdgeChange(int(fields[1]), int(fields[2]), dw))
-                else:
-                    raise ValueError(f"unrecognized record {fields[0]!r}")
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in _lines(path):
+        fields = line.split()
+        try:
+            if fields[0] == "AV" and len(fields) == 2:
+                added.add(int(fields[1]))
+            elif fields[0] == "DV" and len(fields) == 2:
+                removed.add(int(fields[1]))
+            elif fields[0] == "EW" and len(fields) == 4:
+                dw = float(fields[3])
+                if dw == 0.0:
+                    raise ValueError("zero weight change")
+                if not math.isfinite(dw):
+                    raise ValueError(f"non-finite weight change {dw}")
+                changes.append(EdgeChange(int(fields[1]), int(fields[2]), dw))
+            else:
+                raise ValueError(f"unrecognized record {fields[0]!r}")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     conflict = added & removed
     if conflict:
         raise ConflictingDeltaError(
@@ -193,21 +200,17 @@ def load_delta_dir(directory: PathLike) -> list[Snapshot]:
 
 def read_partition_file(path: PathLike) -> dict[int, int]:
     assignment: dict[int, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            try:
-                if len(fields) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(fields)}")
-                v = int(fields[0])
-                if v in assignment:
-                    raise ValueError(f"vertex {v} listed twice")
-                assignment[v] = int(fields[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in _lines(path):
+        fields = line.split("\t")
+        try:
+            if len(fields) != 2:
+                raise ValueError(f"expected 2 fields, got {len(fields)}")
+            v = int(fields[0])
+            if v in assignment:
+                raise ValueError(f"vertex {v} listed twice")
+            assignment[v] = int(fields[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     return assignment
 
 

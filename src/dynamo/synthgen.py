@@ -10,7 +10,7 @@ two runs emit byte-identical files.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -42,8 +42,9 @@ class Churn:
     vertex_add: int = 0
     vertex_del: int = 0
 
-    def total(self) -> int:
-        return self.icea + self.ccea + self.iced + self.cced + self.vertex_add + self.vertex_del
+    def __post_init__(self):
+        if min(astuple(self)) < 0:
+            raise ValueError(f"churn counts must not be negative: {self}")
 
 
 @dataclass(frozen=True)

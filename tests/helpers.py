@@ -41,6 +41,13 @@ class GraphTooLargeError(DynamoError):
     """Exhaustive partition search is guarded by a Bell-number size limit."""
 
 
+def graph_of(edges: Iterable[tuple[int, int, float]], vertices: Iterable[int] = ()):
+    """The graph of ``(u, v, w)`` triples plus isolated ``vertices``, built by one delta."""
+    changes = tuple(EdgeChange(u, v, w) for u, v, w in edges)
+    added = frozenset(vertices).union(*((u, v) for u, v, _ in changes))
+    return apply_delta(WeightedGraph.empty(), GraphDelta(added, frozenset(), changes))
+
+
 def partition_of(g, groups: Iterable[Iterable[int]]) -> Partition:
     """The partition of ``g`` that puts the i-th group of vertices in community i."""
     return Partition.from_assignment(g, {v: cid for cid, group in enumerate(groups)
@@ -274,7 +281,7 @@ def random_graph(rng: random.Random, n: int, p: float,
                     edges.append((min(u, v), max(u, v), rng.uniform(lo, hi)))
                     present.add((min(u, v), max(u, v)))
                 reached.add(v)
-    return WeightedGraph.from_edges(edges, vertices=range(n))
+    return graph_of(edges, vertices=range(n))
 
 
 def random_delta(rng: random.Random, g: WeightedGraph) -> GraphDelta:

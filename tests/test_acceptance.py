@@ -20,7 +20,6 @@ from dynamo import (
     EdgeChange,
     GraphDelta,
     RunConfig,
-    WeightedGraph,
     apply_delta,
     ari,
     ccea_merge_threshold,
@@ -36,6 +35,7 @@ from dynamo.synthgen import Churn, GenConfig, generate
 from helpers import (
     community_graph_mismatch,
     exhaustive_best_partition,
+    graph_of,
     modularity_pairwise,
     partition_of,
     random_graph,
@@ -119,8 +119,8 @@ def test_criterion_2_speedup(benchmark_runs):
 
 
 def test_criterion_3_merge_threshold_crossover():
-    g = WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
-                                  (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
+    g = graph_of([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+                  (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
     p = partition_of(g, [{0, 1, 2}, {3, 4, 5}])
     canonical = ccea_merge_threshold(g, p, 0, 3)
     assert canonical == pytest.approx(6.0, abs=1e-9)
@@ -454,7 +454,7 @@ def test_criterion_9_community_split_scenario():
     # the enlarged community while keeping the endpoints together
     edges = [(0, 1, 1.249), (0, 3, 1.999), (0, 6, 0.759), (1, 5, 0.762),
              (2, 3, 0.668), (3, 4, 0.625), (3, 5, 0.705), (3, 6, 1.128)]
-    g = WeightedGraph.from_edges(edges)
+    g = graph_of(edges)
     p, _ = exhaustive_best_partition(g)
     assert p.community_of(2) == p.community_of(4)
 

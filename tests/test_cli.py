@@ -126,6 +126,19 @@ class TestMetrics:
         assert capsys.readouterr().err == f"error: {a}:3: vertex 0 listed twice\n"
 
 
+@pytest.mark.parametrize("command", [["run", "--deltas-dir", "{dir}"],
+                                     ["run", "--input", "{file}", "--interval", "1"],
+                                     ["detect", "--input", "{file}"],
+                                     ["metrics", "{file}", "{file}"]],
+                         ids=["run-deltas", "run-events", "detect", "metrics"])
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys, command):
+    bad = tmp_path / "snapshot_0000.delta"
+    bad.write_bytes(b"AV 0\n\xff\n")
+    args = [arg.format(dir=tmp_path, file=bad) for arg in command]
+    assert main(args) == 1
+    assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_default_flags_create_files(self, tmp_path):
         out = tmp_path / "scenario"

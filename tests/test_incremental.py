@@ -34,6 +34,7 @@ from helpers import (
     adjacency,
     community_graph_mismatch,
     exhaustive_best_partition,
+    graph_of,
     modularity_pairwise,
     partition_of,
     random_graph,
@@ -45,7 +46,7 @@ TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
 
 
 def two_triangles():
-    g = WeightedGraph.from_edges(TRIANGLES)
+    g = graph_of(TRIANGLES)
     p = partition_of(g, [{0, 1, 2}, {3, 4, 5}])
     return g, p
 
@@ -92,7 +93,7 @@ def planted_5k():
 def three_triangles_with_bridges():
     # triangles A={0,1,2}, B={3,4,5}, C={6,7,8}; 0-3 links A to B
     edges = TRIANGLES + [(6, 7, 1.0), (7, 8, 1.0), (6, 8, 1.0), (0, 3, 0.5)]
-    g = WeightedGraph.from_edges(edges)
+    g = graph_of(edges)
     p = partition_of(g, [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}])
     return g, p
 
@@ -142,7 +143,7 @@ class TestMergeThreshold:
 
     def test_zero_degree_symmetry_case(self):
         # two isolated vertices; total weight comes from elsewhere
-        g = WeightedGraph.from_edges(TRIANGLES[:3], vertices=[10, 11])
+        g = graph_of(TRIANGLES[:3], vertices=[10, 11])
         p = partition_of(g, [{0, 1, 2}, {10}, {11}])
         assert ccea_merge_threshold(g, p, 10, 11) == pytest.approx(0.0, abs=1e-12)
 
@@ -192,7 +193,7 @@ class TestInitPlan:
         # neighbours 2 and 5, queues 0's outside neighbour 6, and A keeps 3, 4
         ring = [(i, (i + 1) % 6, 1.0) for i in range(6)] + [(2, 4, 1.0)]
         clique = [(u, v, 1.0) for u in range(6, 10) for v in range(u + 1, 10)]
-        g = WeightedGraph.from_edges(ring + clique + [(0, 6, 0.5)])
+        g = graph_of(ring + clique + [(0, 6, 0.5)])
         p = partition_of(g, [range(6), range(6, 10)])
         p = p.with_community_graph(compress(g, p))
         a = p.community_of(0)
@@ -240,7 +241,7 @@ class TestInitPlan:
         while checked < 200:
             n = rng.randint(4, 10)
             labels = {v: rng.randint(0, 1) for v in range(n)}
-            g = WeightedGraph.from_edges(
+            g = graph_of(
                 [(u, v, rng.uniform(0.5, 2.0)) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < (0.7 if labels[u] == labels[v] else 0.15)],
                 vertices=range(n))
@@ -307,7 +308,7 @@ class TestInitPlan:
         # into D, whose strength makes T the better community to join
         edges = [(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)]
         edges += [(5, 6, 1.0), (6, 7, 1.0), (5, 7, 1.0), (0, 5, 0.1)]
-        g = WeightedGraph.from_edges(edges)
+        g = graph_of(edges)
         p = partition_of(g, [range(5), range(5, 8)])
         d = GraphDelta(added_vertices=frozenset({9}),
                        edge_changes=(EdgeChange(9, 0, 1.1), EdgeChange(9, 5, 1.0)))
@@ -494,8 +495,8 @@ class TestSnapshotRecord:
 
 def star_plus_path(degree):
     """Hub 0 joined to 1..degree, which also form a path."""
-    return WeightedGraph.from_edges([(0, v, 1.0) for v in range(1, degree + 1)]
-                                    + [(v, v + 1, 1.0) for v in range(1, degree)])
+    return graph_of([(0, v, 1.0) for v in range(1, degree + 1)]
+                    + [(v, v + 1, 1.0) for v in range(1, degree)])
 
 
 class TestOnePassInit:
@@ -533,7 +534,7 @@ class TestOnePassInit:
                                    for c in p.community_ids if c != hub}
 
     def test_adding_a_hub_reads_its_row_once(self):
-        g = WeightedGraph.from_edges([(v, v + 1, 1.0) for v in range(1, 100)])
+        g = graph_of([(v, v + 1, 1.0) for v in range(1, 100)])
         p = louvain(g)
         d = GraphDelta(added_vertices=frozenset({0}),
                        edge_changes=tuple(EdgeChange(0, v, 1.0) for v in range(1, 101)))
@@ -927,7 +928,7 @@ class TestCommunitySplitOnInternalIncrease:
              (2, 3, 0.668), (3, 4, 0.625), (3, 5, 0.705), (3, 6, 1.128)]
 
     def test_split_beats_unchanged_and_update_attains_it(self):
-        g = WeightedGraph.from_edges(self.EDGES)
+        g = graph_of(self.EDGES)
         p, _ = exhaustive_best_partition(g)
         assert p.community_of(2) == p.community_of(4)  # intra-community pair
 

@@ -12,7 +12,6 @@ from dynamo import (
     ParseError,
     SelfLoopError,
     SnapshotReport,
-    WeightedGraph,
     parse_delta_file,
     parse_edge_events,
     read_partition_file,
@@ -23,7 +22,7 @@ from dynamo import (
     write_reports,
 )
 from dynamo.ingest import format_delta, format_reports, load_delta_dir
-from helpers import snapshot_graphs
+from helpers import graph_of, snapshot_graphs
 
 
 class TestParseEdgeEvents:
@@ -91,8 +90,8 @@ class TestSliceSnapshots:
         graphs = snapshot_graphs(snaps)
         for k, graph in enumerate(graphs):
             seen = [(e.u, e.v, e.weight) for e in events if e.timestamp < 4 * (k + 1)]
-            assert graph == WeightedGraph.from_edges(seen)
-        assert graphs[-1] == WeightedGraph.from_edges((e.u, e.v, e.weight) for e in events)
+            assert graph == graph_of(seen)
+        assert graphs[-1] == graph_of((e.u, e.v, e.weight) for e in events)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyStreamError):

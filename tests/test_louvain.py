@@ -16,6 +16,7 @@ from dynamo import (
 from helpers import (
     community_graph_mismatch,
     exhaustive_best_partition,
+    graph_of,
     modularity_pairwise,
     partition_of,
     random_graph,
@@ -26,12 +27,12 @@ TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
 
 
 def bridged(w: float) -> WeightedGraph:
-    return WeightedGraph.from_edges(TRIANGLES + [(2, 3, w)])
+    return graph_of(TRIANGLES + [(2, 3, w)])
 
 
 class TestLocalMovingPass:
     def test_two_triangles_from_singletons(self):
-        g = WeightedGraph.from_edges(TRIANGLES)
+        g = graph_of(TRIANGLES)
         p = local_moving_pass(g, Partition.singletons(g))
         assert p.as_sets() == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
         assert modularity(g, p) == pytest.approx(0.5, abs=1e-9)
@@ -40,20 +41,20 @@ class TestLocalMovingPass:
         assert q_best == pytest.approx(0.5, abs=1e-9)
 
     def test_local_optimum_is_fixed_point(self):
-        g = WeightedGraph.from_edges(TRIANGLES)
+        g = graph_of(TRIANGLES)
         p0 = partition_of(g, [{0, 1, 2}, {3, 4, 5}])
         p = local_moving_pass(g, p0)
         assert p == p0
 
     def test_single_edge_merges(self):
-        g = WeightedGraph.from_edges([(0, 1, 1.0)])
+        g = graph_of([(0, 1, 1.0)])
         p = local_moving_pass(g, Partition.singletons(g))
         assert p.as_sets() == [frozenset({0, 1})]
         # gain is +0.5: from Q=-0.5 to Q=0
         assert modularity(g, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_emptied_communities_dropped(self):
-        g = WeightedGraph.from_edges(TRIANGLES)
+        g = graph_of(TRIANGLES)
         p = local_moving_pass(g, Partition.singletons(g))
         assert p.num_communities == 2
         assert set(p.community_ids) == {p.community_of(0), p.community_of(3)}
@@ -89,7 +90,7 @@ class TestCompress:
         assert comp.neighbors(0)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_community_self_weight_two_m(self):
-        g = WeightedGraph.from_edges(TRIANGLES)
+        g = graph_of(TRIANGLES)
         p = partition_of(g, [set(g.vertices)])
         comp = compress(g, p)
         assert comp.num_vertices == 1
@@ -131,7 +132,7 @@ class TestCompress:
     def test_equality_tells_self_weights_apart(self):
         g = bridged(1.0)
         comp = compress(g, partition_of(g, [{0, 1, 2}, {3, 4, 5}]))
-        plain = WeightedGraph.from_edges([(0, 1, 1.0)])
+        plain = graph_of([(0, 1, 1.0)])
         assert dict(comp.neighbors(0)) == dict(plain.neighbors(0))
         assert comp != plain
         assert comp == compress(g, partition_of(g, [{0, 1, 2}, {3, 4, 5}]))
@@ -213,7 +214,7 @@ class TestLouvain:
         assert community_graph_mismatch(g, again) is None
 
     def test_empty_graph_error(self):
-        g = WeightedGraph.from_edges([], vertices=[0, 1])
+        g = graph_of([], vertices=[0, 1])
         with pytest.raises(EmptyGraphError):
             louvain(g)
 
@@ -222,23 +223,26 @@ class TestLouvain:
     def test_initial_must_cover_graph(self, vertices):
         # missing, extra, and as many vertices as the graph but not the same ones
         g = bridged(0.5)
-        other = WeightedGraph.from_edges([], vertices=vertices)
+        other = graph_of([], vertices=vertices)
         with pytest.raises(UnknownVertexError, match="initial partition does not cover"):
             louvain(g, initial=Partition.singletons(other))
 
     def test_result_records_only_its_own_graph(self):
-        # a detection result skips the cover check on its graph, on no other
+        # a detection result skips the cover check on its graph and covers no
+        # other one, not even one with its vertices but other weights
         g = bridged(0.5)
         p = louvain(g)
         assert p.covers(g)
         assert louvain(g, initial=p).assignment == p.assignment
         caller_built = Partition.from_assignment(g, p.assignment)
         assert caller_built.covers(g)
-        for other in (WeightedGraph.from_edges(TRIANGLES + [(2, 3, 0.5), (5, 6, 1.0)]),
-                      WeightedGraph.from_edges(TRIANGLES[:4])):
+        for other in (graph_of(TRIANGLES + [(2, 3, 0.5), (5, 6, 1.0)]),
+                      graph_of(TRIANGLES[:4]), bridged(2.0)):
             assert not p.covers(other)
             with pytest.raises(UnknownVertexError, match="initial partition does not cover"):
                 louvain(other, initial=p)
+            with pytest.raises(UnknownVertexError):
+                modularity(other, p)
 
     def test_unknown_seed_raises(self):
         g = bridged(0.5)

@@ -18,6 +18,7 @@ from helpers import (
     GraphTooLargeError,
     brute_force_best_q,
     exhaustive_best_partition,
+    graph_of,
     partition_of,
     random_graph,
 )
@@ -61,7 +62,7 @@ class TestNmi:
         assert nmi(ones, FOUR) == pytest.approx(0.0, abs=1e-12)
 
     def test_accepts_partition_objects(self):
-        g = WeightedGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph_of([(0, 1, 1.0), (2, 3, 1.0)])
         p = partition_of(g, [{0, 1}, {2, 3}])
         assert nmi(p, p) == 1.0
 
@@ -138,14 +139,14 @@ def _as_sets(labels):
 
 class TestExhaustiveOracle:
     def test_single_edge(self):
-        g = WeightedGraph.from_edges([(0, 1, 1.0)])
+        g = graph_of([(0, 1, 1.0)])
         best, q = exhaustive_best_partition(g)
         assert best.as_sets() == [frozenset({0, 1})]
         assert q == pytest.approx(0.0, abs=1e-12)
 
     def test_two_triangles(self):
-        g = WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
-                                      (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
+        g = graph_of([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+                      (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
         best, q = exhaustive_best_partition(g)
         assert best.as_sets() == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
         assert q == pytest.approx(0.5, abs=1e-9)
@@ -155,13 +156,12 @@ class TestExhaustiveOracle:
             exhaustive_best_partition(WeightedGraph.empty())
 
     def test_zero_weight_graph(self):
-        g = WeightedGraph.from_edges([], vertices=[0, 1, 2])
+        g = graph_of([], vertices=[0, 1, 2])
         with pytest.raises(EmptyGraphError):
             exhaustive_best_partition(g)
 
     def test_size_guard(self):
-        g = WeightedGraph.from_edges(
-            [(i, i + 1, 1.0) for i in range(13)])
+        g = graph_of([(i, i + 1, 1.0) for i in range(13)])
         with pytest.raises(GraphTooLargeError):
             exhaustive_best_partition(g)
 

@@ -73,3 +73,25 @@ def test_private_attributes_stay_in_graph(path):
 
 def _is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_one_file_reader():
+    # input files are opened in ingest._lines only, so every parser decodes and
+    # skips comments the same way and reports undecodable bytes as a ParseError
+    calls = [call for path in SOURCES
+             for call in _open_calls(ast.parse(path.read_text(encoding="utf-8")),
+                                     (path.name, None))]
+    assert calls == [("ingest.py", "_lines")], calls
+
+
+def _open_calls(node, where):
+    """``(file, innermost function)`` of each ``open(...)`` or ``x.open(...)`` call in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _open_calls(child, (where[0], child.name))
+            continue
+        if isinstance(child, ast.Call) and (
+                isinstance(child.func, ast.Name) and child.func.id == "open"
+                or isinstance(child.func, ast.Attribute) and child.func.attr == "open"):
+            yield where
+        yield from _open_calls(child, where)

@@ -33,6 +33,8 @@ class TestGenConfig:
             GenConfig(weight_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             GenConfig(p_in=0.1, p_out=0.2, num_communities=2, community_size=50)
+        with pytest.raises(ValueError):
+            Churn(icea=-1)
 
 
 class TestGenerate:
