@@ -319,10 +319,10 @@ class Partition:
     strengths. Detection results carry it, and the incremental updater edits
     it instead of rebuilding it; partitions built here carry none.
 
-    A partition may also record, by weak reference, the graph whose aggregates
-    it holds, so that :meth:`covers` need not compare vertex sets and refuses
-    every other graph. :meth:`singletons`, :meth:`from_assignment`, detection
-    results and the incremental updater's intermediate partitions record one.
+    A partition built from a graph records it, and covers no other graph
+    (see :meth:`covers`): :meth:`singletons`, :meth:`from_assignment`,
+    detection results and intermediate partitions record one. Only a
+    partition built raw, from its dicts alone, records none.
     """
 
     __slots__ = ("_assignment", "_members", "_alpha", "_beta", "_graph", "_cover")
@@ -341,7 +341,7 @@ class Partition:
         self._alpha = alpha
         self._beta = beta
         self._graph = community_graph
-        self._cover = None if cover is None else weakref.ref(cover)
+        self._cover = cover
 
     # -- constructors -------------------------------------------------------
 
@@ -422,25 +422,23 @@ class Partition:
             h = self._graph = edit.finish(self)
         return h
 
-    def with_community_graph(self, h: Union[WeightedGraph, "CommunityGraphEdit"],
-                             cover: Optional[WeightedGraph] = None) -> "Partition":
+    def with_community_graph(self, h: Union[WeightedGraph, "CommunityGraphEdit"]) -> "Partition":
         """This partition carrying ``h`` (a graph or a pending edit) as its community graph.
 
-        It records ``cover``, when given, as the graph it covers.
+        The result covers what this partition covers.
         """
-        return Partition(self._assignment, self._members, self._alpha, self._beta, h, cover)
+        return Partition(self._assignment, self._members, self._alpha, self._beta, h, self._cover)
 
     def covers(self, g) -> bool:
         """Whether ``alpha`` and ``beta`` hold for ``g`` and the assignment covers its vertices.
 
-        A partition that records a graph still alive covers that graph only,
-        in O(1): aggregates taken on another graph with the same vertices
-        would score it wrongly. With no live record the vertex sets are
-        compared, in O(|V|).
+        A partition that records a graph covers that graph only, in O(1):
+        aggregates taken on another graph with the same vertices would score
+        it wrongly. Only a partition that records none compares vertex sets,
+        in O(|V|).
         """
-        recorded = None if self._cover is None else self._cover()
-        if recorded is not None:
-            return recorded is g
+        if self._cover is not None:
+            return self._cover is g
         return self._assignment.keys() == g.vertices
 
     def community_graph_edit(self, g: WeightedGraph) -> Optional["CommunityGraphEdit"]:

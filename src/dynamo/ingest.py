@@ -160,7 +160,10 @@ def parse_delta_file(path: PathLike) -> GraphDelta:
                     raise ValueError("zero weight change")
                 if not math.isfinite(dw):
                     raise ValueError(f"non-finite weight change {dw}")
-                changes.append(EdgeChange(int(fields[1]), int(fields[2]), dw))
+                u, v = int(fields[1]), int(fields[2])
+                if u == v:
+                    raise SelfLoopError(f"{path}:{lineno}: self-loop on vertex {u}")
+                changes.append(EdgeChange(u, v, dw))
             else:
                 raise ValueError(f"unrecognized record {fields[0]!r}")
         except ValueError as exc:
@@ -274,10 +277,10 @@ def write_reports(reports: Iterable[SnapshotReport], path: PathLike, fmt: str = 
 
 def read_reports(path: PathLike, fmt: str = "csv") -> list[SnapshotReport]:
     """Parse a report file back; inverse of :func:`write_reports`."""
-    text = Path(path).read_text(encoding="utf-8")
+    lines = [line for _, line in _lines(path)]
     reports: list[SnapshotReport] = []
     if fmt == "csv":
-        rows = list(csv.reader(io.StringIO(text)))
+        rows = list(csv.reader(lines))
         if not rows or rows[0] != _REPORT_HEADER:
             raise ParseError(f"{path}: missing or malformed header")
         for row in rows[1:]:
@@ -295,5 +298,5 @@ def read_reports(path: PathLike, fmt: str = "csv") -> list[SnapshotReport]:
             ))
         return reports
     if fmt == "json":
-        return [SnapshotReport(**entry) for entry in json.loads(text)]
+        return [SnapshotReport(**entry) for entry in json.loads("\n".join(lines))]
     raise ValueError(f"unknown report format {fmt!r}")

@@ -66,7 +66,7 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
     to community ``b`` appends, in ascending id order, each neighbor outside
     ``b`` that is not queued already. The phase ends when the queue is empty.
     Emptied communities are dropped, and a community that no vertex left or
-    joined keeps ``p``'s member set.
+    joined keeps ``p``'s member set. The result records ``g`` when ``p`` covers it.
     """
     m = g.total_weight
     if m <= 0.0:
@@ -144,7 +144,7 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
         members[c] = members[c].difference(group)
     for c, group in gained.items():
         members[c] = members[c].union(group)
-    result = Partition(assign, members, alpha, beta)
+    result = Partition(assign, members, alpha, beta, cover=g if p.covers(g) else None)
     edit = p.community_graph_edit(g)
     if edit is None:
         return result
@@ -218,7 +218,7 @@ def _unfold(g: WeightedGraph, bottom: Partition, merged: dict[int, int], top: Pa
     result records ``g``, which ``bottom`` covers, as its cover.
     """
     if not merged:
-        return bottom.with_community_graph(top_graph, g)
+        return bottom.with_community_graph(top_graph)
     assignment = dict(bottom.assignment)
     members = {c: bottom.members(c) for c in bottom.community_ids if c not in merged}
     parts: dict[int, list[frozenset[int]]] = {}

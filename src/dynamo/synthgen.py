@@ -68,8 +68,8 @@ class GenConfig:
         if self.num_snapshots < 1:
             raise ValueError("need at least one snapshot")
         lo, hi = self.weight_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("weight range must be positive and ordered")
+        if not (0.0 < lo <= hi < float("inf")):
+            raise ValueError("weight range must be positive, finite and ordered")
         # detectability guard: expected intra-degree must beat inter-degree
         n = self.num_communities * self.community_size
         intra = self.p_in * (self.community_size - 1)

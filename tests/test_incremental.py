@@ -409,12 +409,40 @@ class TestInitPlan:
         with pytest.raises(InconsistentSnapshotsError):
             init(wrong, g, p, d)
         moved = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(3, 4, 1.0),)))
-        with pytest.raises(InconsistentSnapshotsError, match=r"edge \(0, 1\) weight"):
+        with pytest.raises(InconsistentSnapshotsError, match="edge weights disagree"):
             init(moved, g, p, d)  # same total weight, on another edge
         readd = GraphDelta(added_vertices=frozenset({5}))  # g already holds 5
         for step in (init, dynamo_update):
             with pytest.raises(InconsistentSnapshotsError, match="does not apply"):
                 step(g, g, p, readd)
+
+    def test_moved_edge_rejected(self):
+        # vertex sets, the changed edge and the total weight all agree; only
+        # edge (4, 5), which the delta leaves alone, has moved to (0, 5)
+        g = graph_of(TRIANGLES + [(2, 3, 1.0)])
+        p = louvain(g)
+        d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
+        moved = apply_delta(g, GraphDelta(edge_changes=(
+            EdgeChange(0, 1, 1.0), EdgeChange(4, 5, -1.0), EdgeChange(0, 5, 1.0))))
+        for step in (init, dynamo_update):
+            with pytest.raises(InconsistentSnapshotsError, match="edge weights disagree"):
+                step(moved, g, p, d)
+
+    def test_partition_of_another_graph_rejected(self):
+        # same vertices, other weights: the path's aggregates would score the
+        # cycle's update at Q 1.02, above any modularity
+        path = graph_of([(0, 1, 5.0), (1, 2, 0.1), (2, 3, 5.0), (3, 4, 0.1), (4, 5, 5.0)])
+        cycle = graph_of([(0, 1, 0.1), (1, 2, 5.0), (2, 3, 0.1), (3, 4, 5.0), (4, 5, 0.1),
+                          (5, 0, 5.0)])
+        d = GraphDelta(edge_changes=(EdgeChange(0, 3, 1.0),))
+        # a raw partition that misses vertex 5 and carries no community graph,
+        # which dynamo_update must not aggregate before init has checked it
+        raw = Partition({v: 0 for v in range(5)}, {0: frozenset(range(5))}, {0: 0.0}, {0: 0.0})
+        for p_t in (louvain(path), raw):
+            for step in (init, dynamo_update):
+                with pytest.raises(UnknownVertexError,
+                                   match="partition does not cover the old snapshot"):
+                    step(apply_delta(cycle, d), cycle, p_t, d)
 
 
 class TestSnapshotRecord:
@@ -457,10 +485,10 @@ class TestSnapshotRecord:
         g1 = apply_delta(g, d)
         init(g1, g, p, GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),)))  # equal, not same
         assert len(full_checks) == 1
-        with pytest.raises(InconsistentSnapshotsError, match="weight disagrees"):
+        with pytest.raises(InconsistentSnapshotsError, match="edge weights disagree"):
             init(g1, g, p, GraphDelta(edge_changes=(EdgeChange(0, 1, 2.0),)))
         other = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(3, 4, 1.0),)))
-        with pytest.raises(InconsistentSnapshotsError, match="weight disagrees"):
+        with pytest.raises(InconsistentSnapshotsError, match="edge weights disagree"):
             init(g1, other, p, d)
         assert len(full_checks) == 3
 
@@ -480,15 +508,18 @@ class TestSnapshotRecord:
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))
         g1 = apply_delta(g, d)
         plan = init(g1, g, p, d)
-        assert intermediate_partition(g1, p, plan, d)._cover() is g1
         rebuilt = WeightedGraph(adjacency(g1))
-        assert intermediate_partition(rebuilt, p, plan, d)._cover is None
+        checked = intermediate_partition(g1, p, plan, d)
+        assert checked.covers(g1) and not checked.covers(rebuilt)  # records g1
+        # with no record, any graph with the same vertices is covered
+        unchecked = intermediate_partition(rebuilt, p, plan, d)
+        assert unchecked.covers(rebuilt) and unchecked.covers(g1)
         # a partition of another vertex set gets no record, so louvain checks it
         smaller = Partition.from_assignment(
             apply_delta(g, GraphDelta(removed_vertices=frozenset({5}))),
             {v: c for v, c in p.assignment.items() if v != 5})
         inter = intermediate_partition(g1, smaller, plan, d)
-        assert inter._cover is None
+        assert not inter.covers(g1)
         with pytest.raises(UnknownVertexError, match="initial partition does not cover"):
             louvain(g1, initial=inter)
 
@@ -521,11 +552,11 @@ class TestOnePassInit:
         assert set(out.assignment) == set(g2.vertices)
 
     def test_removing_a_hub_reads_its_row_a_few_times(self):
-        g = star_plus_path(100)
-        p = louvain(g)
+        g0 = CountingGraph(star_plus_path(100))
+        p = louvain(g0)  # a partition covers only the graph it was computed on
+        g0.reads = 0
         d = GraphDelta(removed_vertices=frozenset({0}))
-        g0 = CountingGraph(g)
-        plan = init(apply_delta(g, d), g0, p, d)
+        plan = init(apply_delta(g0, d), g0, p, d)
         assert g0.reads <= 3  # one read per edge would be 100
         hub = p.community_of(0)
         assert plan.dissolve == frozenset({hub})
@@ -724,11 +755,13 @@ class TestDynamoUpdate:
     def test_cross_deletion_reads_few_rows(self, planted_5k):
         # every neighbors read of the update, on both snapshots: rebuilding the
         # level-1 graph from the new snapshot alone would read all 5,000 rows
-        g, p = planted_5k
-        u, v, w = next((u, v, w) for u, v, w in sorted(g.edges())
+        g0 = CountingGraph(planted_5k[0])
+        p = louvain(g0)  # a partition covers only the graph it was computed on
+        u, v, w = next((u, v, w) for u, v, w in sorted(g0.edges())
                        if p.community_of(u) != p.community_of(v))
         d = GraphDelta(edge_changes=(EdgeChange(u, v, -w),))
-        g0, g1 = CountingGraph(g), CountingGraph(apply_delta(g, d))
+        g1 = CountingGraph(apply_delta(g0, d))
+        g0.reads = 0
         out = dynamo_update(g1, g0, p, d)
         assert g0.reads + g1.reads <= 100
         assert out.as_sets() == p.as_sets()

@@ -145,6 +145,12 @@ class TestDeltaFiles:
             with pytest.raises(ParseError, match=":3: non-finite"):
                 parse_delta_file(path)
 
+    def test_self_loop_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "d.delta"
+        path.write_text("AV 2\nEW 2 2 1.0\n")
+        with pytest.raises(SelfLoopError, match=r"d\.delta:2: self-loop on vertex 2"):
+            parse_delta_file(path)
+
     def test_round_trip(self, tmp_path):
         d = GraphDelta(frozenset({9}), frozenset({2}),
                        (EdgeChange(0, 1, 1.25), EdgeChange(4, 0, -0.75)))
@@ -222,6 +228,14 @@ class TestReports:
         write_reports(reports, path, fmt="json")
         assert '"modularity": null' in path.read_text()
         assert read_reports(path, fmt="json") == reports
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, fmt):
+        path = tmp_path / f"r.{fmt}"
+        write_reports([_report(0)], path, fmt=fmt)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ParseError, match=rf"r\.{fmt}: not UTF-8 text"):
+            read_reports(path, fmt=fmt)
 
     def test_bit_stable(self):
         reports = [_report(0), _report(1, "dynamo", nmi=0.9, ari=0.8)]

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -243,6 +244,20 @@ class TestLouvain:
                 louvain(other, initial=p)
             with pytest.raises(UnknownVertexError):
                 modularity(other, p)
+
+    def test_result_keeps_refusing_a_graph_once_its_own_is_dropped(self):
+        # the record is the graph itself, not a weak reference that dies with it:
+        # otherwise the vertex sets match and the path's aggregates score the cycle
+        path = graph_of([(0, 1, 5.0), (1, 2, 0.1), (2, 3, 5.0), (3, 4, 0.1), (4, 5, 5.0)])
+        cycle = graph_of([(0, 1, 0.1), (1, 2, 5.0), (2, 3, 0.1), (3, 4, 5.0), (4, 5, 0.1),
+                          (5, 0, 5.0)])
+        p = louvain(path)
+        with pytest.raises(UnknownVertexError):
+            modularity(cycle, p)
+        del path
+        gc.collect()
+        with pytest.raises(UnknownVertexError):
+            modularity(cycle, p)
 
     def test_unknown_seed_raises(self):
         g = bridged(0.5)

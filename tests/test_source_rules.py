@@ -76,22 +76,28 @@ def _is_private(name):
 
 
 def test_one_file_reader():
-    # input files are opened in ingest._lines only, so every parser decodes and
+    # input files are read in ingest._lines only, so every parser decodes and
     # skips comments the same way and reports undecodable bytes as a ParseError
     calls = [call for path in SOURCES
-             for call in _open_calls(ast.parse(path.read_text(encoding="utf-8")),
+             for call in _read_calls(ast.parse(path.read_text(encoding="utf-8")),
                                      (path.name, None))]
     assert calls == [("ingest.py", "_lines")], calls
 
 
-def _open_calls(node, where):
-    """``(file, innermost function)`` of each ``open(...)`` or ``x.open(...)`` call in ``node``."""
+READ_METHODS = {"open", "read_text", "read_bytes"}
+
+
+def _read_calls(node, where):
+    """``(file, innermost function)`` of each call in ``node`` that reads a file.
+
+    That is ``open(...)``, or ``x.m(...)`` for a method ``m`` in :data:`READ_METHODS`.
+    """
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _open_calls(child, (where[0], child.name))
+            yield from _read_calls(child, (where[0], child.name))
             continue
         if isinstance(child, ast.Call) and (
                 isinstance(child.func, ast.Name) and child.func.id == "open"
-                or isinstance(child.func, ast.Attribute) and child.func.attr == "open"):
+                or isinstance(child.func, ast.Attribute) and child.func.attr in READ_METHODS):
             yield where
-        yield from _open_calls(child, where)
+        yield from _read_calls(child, where)

@@ -31,6 +31,10 @@ class TestGenConfig:
             GenConfig(community_size=2)
         with pytest.raises(ValueError):
             GenConfig(weight_range=(0.0, 1.0))
+        for weight_range in ((1.0, float("inf")), (float("inf"), float("inf")),
+                             (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="weight range"):
+                GenConfig(weight_range=weight_range)
         with pytest.raises(ValueError):
             GenConfig(p_in=0.1, p_out=0.2, num_communities=2, community_size=50)
         with pytest.raises(ValueError):
