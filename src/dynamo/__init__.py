@@ -51,7 +51,6 @@ from .ingest import (
     parse_delta_file,
     parse_edge_events,
     read_partition_file,
-    read_reports,
     slice_snapshots,
     write_delta_file,
     write_partition_file,

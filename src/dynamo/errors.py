@@ -18,7 +18,10 @@ class SelfLoopError(DynamoError):
 
 
 class NegativeWeightError(DynamoError):
-    """An edge weight was non-positive or non-finite, or a decrease exceeded the stored weight."""
+    """An edge weight was non-positive or non-finite, or a decrease exceeded the stored weight.
+
+    Weights that sum past the largest float count as non-finite.
+    """
 
 
 class EmptyGraphError(DynamoError):
@@ -30,7 +33,7 @@ class SameCommunityError(DynamoError):
 
 
 class InconsistentSnapshotsError(DynamoError):
-    """The supplied delta does not transform the old snapshot into the new one."""
+    """The new snapshot is not the step that apply_delta recorded from the old one and the delta."""
 
 
 class VertexSetMismatchError(DynamoError):

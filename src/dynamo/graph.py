@@ -58,7 +58,8 @@ class WeightedGraph:
     Twice the total weight is kept exactly, as a few floats whose exact sum it
     is, so that :func:`apply_delta` moves it by the rows it touches. A graph
     that :func:`apply_delta` built records the graph and the delta it came
-    from, both by weak reference (see :meth:`derived_from`).
+    from, both by weak reference (see :meth:`derived_from`); the incremental
+    update accepts no other snapshot step.
     """
 
     __slots__ = ("_adj", "_self", "_strength", "_sum", "_source", "__weakref__")
@@ -141,7 +142,8 @@ class WeightedGraph:
 
         None unless :func:`apply_delta` built this graph from that very delta
         object, and once that graph is gone. A graph rebuilt from the same
-        adjacency records nothing.
+        adjacency records nothing. The incremental update takes ``g_t1`` as the
+        step from ``g_t`` by ``d`` only when ``g_t1.derived_from(d) is g_t``.
         """
         source = self._source
         if source is None or source[1]() is not d:
@@ -218,7 +220,9 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
     Processing order: vertex additions, edge changes (in stored order), vertex
     removals. Removing a vertex drops all its incident edges. A decrease that
     would push a weight below zero raises :class:`NegativeWeightError`; a
-    decrease reaching exactly zero deletes the edge.
+    decrease reaching exactly zero deletes the edge. A weight, a strength or
+    the total weight that sums past the largest float raises
+    :class:`NegativeWeightError`; the first names its pair.
 
     The result shares every adjacency row the delta leaves alone with ``g``
     and copies a row before its first change, so ``g`` is never mutated.
@@ -226,9 +230,9 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
     their strengths are re-summed, and the exact strength sum moves by their
     changes. Self weights of surviving vertices carry over.
 
-    The result records ``g`` and ``d`` (see :meth:`WeightedGraph.derived_from`),
-    so that a check of the pair against each other can return at once: this
-    function defines ``g + d``.
+    The result records ``g`` and ``d`` (see :meth:`WeightedGraph.derived_from`):
+    this function defines ``g + d``, and the incremental update accepts only a
+    step recorded here, without comparing graphs.
     """
     adj = dict(g._adj)
     copied: set[int] = set()
@@ -261,8 +265,10 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
         if new_w <= _WEIGHT_EPS:
             row_u.pop(v, None)
             row_v.pop(u, None)
-        else:
+        elif math.isfinite(new_w):
             row_u[v] = row_v[u] = new_w
+        else:
+            raise NegativeWeightError(f"weight {old_w} + {dw} on ({u},{v}) overflows")
 
     for v in sorted(d.removed_vertices):
         if v not in adj:
@@ -278,13 +284,17 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
         terms.append(-strength.pop(v))
         if v in self_w:
             self_w = {u: s for u, s in self_w.items() if u in adj}
-    for u in copied:
-        if u in adj:
-            if u in strength:
-                terms.append(-strength[u])
-            strength[u] = k = math.fsum(adj[u].values()) + self_w.get(u, 0.0)
-            terms.append(k)
-    return WeightedGraph._assemble(adj, self_w, strength, _exact_sum(terms),
+    try:  # fsum raises on finite terms whose sum overflows
+        for u in copied:
+            if u in adj:
+                if u in strength:
+                    terms.append(-strength[u])
+                strength[u] = k = math.fsum(adj[u].values()) + self_w.get(u, 0.0)
+                terms.append(k)
+        total = _exact_sum(terms)
+    except OverflowError:
+        raise NegativeWeightError("the edge weights sum past the largest float") from None
+    return WeightedGraph._assemble(adj, self_w, strength, total,
                                    (weakref.ref(g), weakref.ref(d)))
 
 

@@ -137,6 +137,10 @@ def slice_snapshots(
                     added.append(vertex)
             key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
             weight_sums[key] = weight_sums.get(key, 0.0) + e.weight
+        for (u, v), w in weight_sums.items():
+            if w == math.inf:  # finite positive weights that overflow
+                raise NegativeWeightError(
+                    f"weights on ({u},{v}) sum past the largest float in snapshot {k}")
         changes = tuple(EdgeChange(u, v, w) for (u, v), w in weight_sums.items())
         snapshots.append(Snapshot(k, GraphDelta(frozenset(added), frozenset(), changes)))
     return snapshots
@@ -274,29 +278,3 @@ def format_reports(reports: Iterable[SnapshotReport], fmt: str = "csv") -> str:
 def write_reports(reports: Iterable[SnapshotReport], path: PathLike, fmt: str = "csv") -> None:
     Path(path).write_text(format_reports(reports, fmt), encoding="utf-8", newline="\n")
 
-
-def read_reports(path: PathLike, fmt: str = "csv") -> list[SnapshotReport]:
-    """Parse a report file back; inverse of :func:`write_reports`."""
-    lines = [line for _, line in _lines(path)]
-    reports: list[SnapshotReport] = []
-    if fmt == "csv":
-        rows = list(csv.reader(lines))
-        if not rows or rows[0] != _REPORT_HEADER:
-            raise ParseError(f"{path}: missing or malformed header")
-        for row in rows[1:]:
-            reports.append(SnapshotReport(
-                snapshot_index=int(row[0]),
-                algorithm=row[1],
-                modularity=None if row[2] == "" else float(row[2]),
-                nmi=None if row[3] == "" else float(row[3]),
-                ari=None if row[4] == "" else float(row[4]),
-                elapsed_ns=int(row[5]),
-                cumulative_elapsed_ns=int(row[6]),
-                num_vertices=int(row[7]),
-                num_edges=int(row[8]),
-                num_communities=int(row[9]),
-            ))
-        return reports
-    if fmt == "json":
-        return [SnapshotReport(**entry) for entry in json.loads("\n".join(lines))]
-    raise ValueError(f"unknown report format {fmt!r}")

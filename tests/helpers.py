@@ -11,6 +11,8 @@ plain recursion and serve only to check that oracle on small graphs.
 
 from __future__ import annotations
 
+import csv
+import json
 import random
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional
@@ -22,10 +24,13 @@ from dynamo import (
     EdgeChange,
     EmptyGraphError,
     GraphDelta,
+    ParseError,
     Partition,
+    SnapshotReport,
     WeightedGraph,
     apply_delta,
 )
+from dynamo.ingest import _REPORT_HEADER, _lines
 from dynamo.louvain import EPSILON
 from dynamo.synthgen import GenConfig
 
@@ -163,6 +168,32 @@ def snapshot_graphs(snapshots) -> list[WeightedGraph]:
         graph = apply_delta(graph, snap.delta)
         graphs.append(graph)
     return graphs
+
+
+def read_reports(path, fmt: str = "csv") -> list[SnapshotReport]:
+    """Parse a report file back; inverse of :func:`dynamo.ingest.write_reports`.
+
+    No command of the package reads a report, so the reader lives with the
+    round-trip tests. It reads through the package's line reader.
+    """
+    lines = [line for _, line in _lines(path)]
+    if fmt == "json":
+        return [SnapshotReport(**entry) for entry in json.loads("\n".join(lines))]
+    rows = list(csv.reader(lines))
+    if not rows or rows[0] != _REPORT_HEADER:
+        raise ParseError(f"{path}: missing or malformed header")
+    return [SnapshotReport(
+        snapshot_index=int(row[0]),
+        algorithm=row[1],
+        modularity=None if row[2] == "" else float(row[2]),
+        nmi=None if row[3] == "" else float(row[3]),
+        ari=None if row[4] == "" else float(row[4]),
+        elapsed_ns=int(row[5]),
+        cumulative_elapsed_ns=int(row[6]),
+        num_vertices=int(row[7]),
+        num_edges=int(row[8]),
+        num_communities=int(row[9]),
+    ) for row in rows[1:]]
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

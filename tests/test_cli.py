@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from dynamo import read_reports
 from dynamo.cli import _build_parser, main
 from dynamo.synthgen import Churn, GenConfig, generate
+from helpers import read_reports
 
 TRIANGLE_EVENTS = "0\t1\t0\n1\t2\t0\n0\t2\t0\n3\t4\t0\n4\t5\t0\n3\t5\t0\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -137,6 +137,28 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys, command):
     args = [arg.format(dir=tmp_path, file=bad) for arg in command]
     assert main(args) == 1
     assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+ONE_PAIR_EVENTS = "1\t2\t1e308\t0\n1\t2\t1e308\t0\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["run", "--input", "{file}", "--interval", "1"], ONE_PAIR_EVENTS,
+     "weights on (1,2) sum past the largest float in snapshot 0"),
+    (["detect", "--input", "{file}"], ONE_PAIR_EVENTS, "on (1,2) overflows"),
+    (["run", "--deltas-dir", "{dir}"], "AV 1\nAV 2\nEW 1 2 1e308\nEW 1 2 1e308\n",
+     "on (1,2) overflows"),
+    (["run", "--input", "{file}", "--interval", "1"], "1\t2\t1e308\t0\n3\t4\t1e308\t0\n",
+     "the edge weights sum past the largest float"),
+], ids=["run-events-one-pair", "detect", "run-deltas", "run-events-two-pairs"])
+def test_finite_weights_that_overflow_exit_one(tmp_path, capsys, command, text, message):
+    # each weight is finite, but a pair's sum or the total weight is not
+    source = tmp_path / "snapshot_0000.delta"
+    source.write_text(text)
+    args = [arg.format(dir=tmp_path, file=source) for arg in command]
+    assert main(args + ["--output", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestGenerate:

@@ -15,14 +15,13 @@ from dynamo import (
     parse_delta_file,
     parse_edge_events,
     read_partition_file,
-    read_reports,
     slice_snapshots,
     write_delta_file,
     write_partition_file,
     write_reports,
 )
 from dynamo.ingest import format_delta, format_reports, load_delta_dir
-from helpers import graph_of, snapshot_graphs
+from helpers import graph_of, read_reports, snapshot_graphs
 
 
 class TestParseEdgeEvents:

@@ -101,3 +101,15 @@ def _read_calls(node, where):
                 or isinstance(child.func, ast.Attribute) and child.func.attr in READ_METHODS):
             yield where
         yield from _read_calls(child, where)
+
+
+def test_update_never_rebuilds_a_snapshot():
+    # the update accepts only a step that apply_delta recorded (an O(1) check),
+    # so incremental.py never applies a delta itself to compare graphs
+    path = ROOT / "src" / "dynamo" / "incremental.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == "apply_delta"
+             or isinstance(node, ast.Name) and node.id == "apply_delta"
+             or isinstance(node, ast.Attribute) and node.attr == "apply_delta"]
+    assert not lines, f"incremental.py refers to apply_delta on lines {lines}"

@@ -5,9 +5,10 @@ whole stream so far runs through :func:`run_benchmark` with both pipelines, and
 every partition it yields is checked against independent oracles: rebuilt
 aggregates, the community graph it carries and the pairwise modularity of
 ``helpers``. An invalid delta must fail with a typed :class:`DynamoError`,
-and the full snapshot check must refuse it, before it is dropped from the
-stream. Each valid delta folded into the stream must also pass that check
-against a rebuilt, unrecorded copy of its result.
+in the run and in :func:`apply_delta` itself, before it is dropped from the
+stream. Each valid delta that :func:`apply_delta` folds into the stream must
+also match the test's own fold of the stream, edge by edge and in total
+weight, bit for bit.
 """
 
 import pytest
@@ -18,38 +19,59 @@ from dynamo import (
     DynamoError,
     EdgeChange,
     GraphDelta,
-    InconsistentSnapshotsError,
     RunConfig,
     WeightedGraph,
     apply_delta,
     partition_rebuild_aggregates,
     run_benchmark,
 )
-from dynamo.incremental import _check_snapshots
 from dynamo.ingest import Snapshot
 from helpers import adjacency, community_graph_mismatch, modularity_pairwise
 
 WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.5])
 
 
+def fold(rows: dict, delta: GraphDelta) -> dict:
+    """New adjacency rows: ``rows`` after ``delta``, applied here one edge at a time.
+
+    Vertices are added first, then the edge changes in order, then vertices
+    are removed with their edges. This stream's decreases take a weight to
+    half or to exactly zero, so no tolerance is needed.
+    """
+    rows = {v: dict(nbrs) for v, nbrs in rows.items()}
+    for v in delta.added_vertices:
+        rows[v] = {}
+    for u, v, dw in delta.edge_changes:
+        w = rows[u].get(v, 0.0) + dw
+        if w > 0.0:
+            rows[u][v] = rows[v][u] = w
+        else:
+            del rows[u][v], rows[v][u]
+    for v in delta.removed_vertices:
+        for u in rows.pop(v):
+            del rows[u][v]
+    return rows
+
+
 class DeltaStream(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.deltas: list[GraphDelta] = []
-        self.graph = WeightedGraph.empty()  # the fold of ``deltas``
+        self.graph = WeightedGraph.empty()  # the fold of ``deltas`` by apply_delta
+        self.rows: dict = {}  # the same fold, by this test's ``fold``
         self.next_id = 0
         self.expected_q: dict = {}  # (snapshot, algorithm) -> pairwise Q or None
         self.latest: dict = {}  # algorithm -> its partition of the last snapshot run
 
     def push(self, delta: GraphDelta) -> None:
         g1 = apply_delta(self.graph, delta)
-        # the update path skips the snapshot check for an apply_delta pair;
-        # the full check on an unrecorded copy must pass, and the running
-        # total weight must equal a rebuilt graph's bit for bit
-        rebuilt = WeightedGraph(adjacency(g1))
-        _check_snapshots(rebuilt, self.graph, delta)
-        assert g1.total_weight == rebuilt.total_weight
-        self.graph = g1
+        # the update trusts apply_delta's step, so check it against the test's
+        # own fold: every weight, and the running total weight against a graph
+        # built from the folded rows (fold copies, so they may be shared), bit for bit
+        rows = fold(self.rows, delta)
+        assert adjacency(g1) == rows
+        assert g1.total_weight == WeightedGraph(rows).total_weight
+        self.graph, self.rows = g1, rows
         self.deltas.append(delta)
 
     def run(self, deltas: list[GraphDelta]) -> list:
@@ -141,8 +163,8 @@ class DeltaStream(RuleBasedStateMachine):
             bad = GraphDelta(removed_vertices=frozenset({unknown}))
         with pytest.raises(DynamoError):
             self.run(self.deltas + [bad])
-        with pytest.raises(InconsistentSnapshotsError):
-            _check_snapshots(self.graph, self.graph, bad)
+        with pytest.raises(DynamoError):
+            apply_delta(self.graph, bad)
 
     # -- the invariant --------------------------------------------------------
 
