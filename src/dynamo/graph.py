@@ -37,6 +37,8 @@ _WEIGHT_EPS = 1e-12
 # previous value may have lost its last edge; it is summed again from the graph.
 _RESIDUE = 1e-9
 
+_INF = math.inf
+
 
 class WeightedGraph:
     """Undirected weighted graph with cached strengths and total weight.
@@ -235,47 +237,48 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
     step recorded here, without comparing graphs.
     """
     adj = dict(g._adj)
-    copied: set[int] = set()
-
-    def row(u: int) -> dict[int, float]:
-        if u not in copied:
-            adj[u] = dict(adj[u])
-            copied.add(u)
-        return adj[u]
+    own: dict[int, dict[int, float]] = {}  # the rows this call made or copied, safe to write
 
     for v in sorted(d.added_vertices):
         if v in adj:
             raise DuplicateVertexError(f"vertex {v} already exists")
-        adj[v] = {}
-        copied.add(v)
+        adj[v] = own[v] = {}
 
     for u, v, dw in d.edge_changes:
-        if u == v:
-            raise SelfLoopError(f"self-loop change on vertex {u}")
-        if u not in adj or v not in adj:
-            missing = u if u not in adj else v
-            raise UnknownVertexError(f"edge change references unknown vertex {missing}")
-        # checked inline: a helper call per endpoint made bulk deltas markedly slower
-        row_u = adj[u] if u in copied else row(u)
-        row_v = adj[v] if v in copied else row(v)
+        row_u = own.get(u)
+        row_v = own.get(v)
+        if row_u is None or row_v is None or u == v:  # a row's first touch, or a self-loop
+            if u == v:
+                raise SelfLoopError(f"self-loop change on vertex {u}")
+            if u not in adj or v not in adj:
+                missing = u if u not in adj else v
+                raise UnknownVertexError(f"edge change references unknown vertex {missing}")
+            if row_u is None:
+                row_u = adj[u] = own[u] = dict(adj[u])
+            if row_v is None:
+                row_v = adj[v] = own[v] = dict(adj[v])
         old_w = row_u.get(v, 0.0)
         new_w = old_w + dw
-        if dw < 0.0 and new_w < -_WEIGHT_EPS:
-            raise NegativeWeightError(f"decrease of {-dw} exceeds weight {old_w} on ({u},{v})")
-        if new_w <= _WEIGHT_EPS:
+        # dw is finite (GraphDelta checks it), so only a sum past the largest float is inf
+        if _WEIGHT_EPS < new_w < _INF:
+            row_u[v] = row_v[u] = new_w
+        elif -_WEIGHT_EPS <= new_w <= _WEIGHT_EPS:
             row_u.pop(v, None)
             row_v.pop(u, None)
-        elif math.isfinite(new_w):
-            row_u[v] = row_v[u] = new_w
+        elif new_w < 0.0:
+            raise NegativeWeightError(f"decrease of {-dw} exceeds weight {old_w} on ({u},{v})")
         else:
             raise NegativeWeightError(f"weight {old_w} + {dw} on ({u},{v}) overflows")
 
     for v in sorted(d.removed_vertices):
         if v not in adj:
             raise UnknownVertexError(f"cannot remove unknown vertex {v}")
-        for nbr in adj[v]:
-            del row(nbr)[v]
-        del adj[v]
+        for nbr in adj.pop(v):
+            row = own.get(nbr)
+            if row is None:
+                row = adj[nbr] = own[nbr] = dict(adj[nbr])
+            del row[v]
+        own.pop(v, None)
 
     self_w = g._self
     strength = dict(g._strength)
@@ -285,12 +288,11 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
         if v in self_w:
             self_w = {u: s for u, s in self_w.items() if u in adj}
     try:  # fsum raises on finite terms whose sum overflows
-        for u in copied:
-            if u in adj:
-                if u in strength:
-                    terms.append(-strength[u])
-                strength[u] = k = math.fsum(adj[u].values()) + self_w.get(u, 0.0)
-                terms.append(k)
+        for u, row in own.items():
+            if u in strength:
+                terms.append(-strength[u])
+            strength[u] = k = math.fsum(row.values()) + self_w.get(u, 0.0)
+            terms.append(k)
         total = _exact_sum(terms)
     except OverflowError:
         raise NegativeWeightError("the edge weights sum past the largest float") from None
@@ -629,6 +631,8 @@ def modularity(g, p: Partition) -> float:
     :meth:`Partition.covers`), plus O(|V|) to check the cover otherwise.
     Raises :class:`EmptyGraphError` when the total weight is zero (Q is
     undefined; callers should treat such snapshots as unscored singletons).
+    Only when some ``beta[c]**2`` passes the largest float is Q summed in the
+    scaled form ``sum_c (alpha[c]/2m - (beta[c]/2m)**2)``.
     """
     m = g.total_weight
     if m <= 0.0:
@@ -637,6 +641,9 @@ def modularity(g, p: Partition) -> float:
         raise UnknownVertexError("partition does not cover exactly the graph's vertices")
     two_m = 2.0 * m
     total = 0.0
-    for c in p.community_ids:
-        total += p.alpha(c) - p.beta(c) ** 2 / two_m
+    try:
+        for c in p.community_ids:
+            total += p.alpha(c) - p.beta(c) ** 2 / two_m
+    except OverflowError:  # a beta above about 1.3e154
+        return sum(p.alpha(c) / two_m - (p.beta(c) / two_m) ** 2 for c in p.community_ids)
     return total / two_m

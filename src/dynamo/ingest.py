@@ -66,35 +66,41 @@ def _lines(path: PathLike) -> Iterator[tuple[int, str]]:
         with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
-                if line and not line.startswith("#"):
+                if line and line[0] != "#":
                     yield lineno, line
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+# Records are built with tuple.__new__, which skips a NamedTuple's Python-level __new__.
+_new = tuple.__new__
+_INF = math.inf
+
+
 def parse_edge_events(path: PathLike) -> list[EdgeEvent]:
     """Read an edge-event file, preserving file order."""
     events: list[EdgeEvent] = []
+    append = events.append
     for lineno, line in _lines(path):
         fields = line.split("\t")
         try:
-            if len(fields) == 3:
+            if len(fields) == 4:
+                u, v, w, ts = int(fields[0]), int(fields[1]), float(fields[2]), int(fields[3])
+            elif len(fields) == 3:
                 u, v, ts = int(fields[0]), int(fields[1]), int(fields[2])
                 w = 1.0
-            elif len(fields) == 4:
-                u, v, w, ts = (int(fields[0]), int(fields[1]),
-                               float(fields[2]), int(fields[3]))
             else:
                 raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
-            if not math.isfinite(w):
-                raise ValueError(f"non-finite weight {w}")
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if u == v:
+        if 0.0 < w < _INF and u != v:
+            append(_new(EdgeEvent, (u, v, w, ts)))
+        elif not -_INF < w < _INF:
+            raise ParseError(f"{path}:{lineno}: non-finite weight {w}")
+        elif u == v:
             raise SelfLoopError(f"{path}:{lineno}: self-loop on vertex {u}")
-        if w <= 0.0:
+        else:
             raise NegativeWeightError(f"{path}:{lineno}: non-positive weight {w}")
-        events.append(EdgeEvent(u, v, w, ts))
     return events
 
 
@@ -117,31 +123,30 @@ def slice_snapshots(
     if t0 is None:
         t0 = events[0].timestamp
 
-    last = max(e.timestamp for e in events)
-    num_snapshots = max(0, (last - t0) // interval) + 1
-
-    buckets: list[list[EdgeEvent]] = [[] for _ in range(num_snapshots)]
+    buckets: dict[int, list[EdgeEvent]] = {}
     for e in events:
-        k = max(0, (e.timestamp - t0) // interval)
-        buckets[k].append(e)
+        k = (e[3] - t0) // interval  # e[3] is the timestamp
+        buckets.setdefault(k if k > 0 else 0, []).append(e)
 
     snapshots: list[Snapshot] = []
     known: set[int] = set()
-    for k, bucket in enumerate(buckets):
+    for k in range(max(buckets) + 1):
         added: list[int] = []
         weight_sums: dict[tuple[int, int], float] = {}
-        for e in bucket:
-            for vertex in (e.u, e.v):
-                if vertex not in known:
-                    known.add(vertex)
-                    added.append(vertex)
-            key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-            weight_sums[key] = weight_sums.get(key, 0.0) + e.weight
-        for (u, v), w in weight_sums.items():
-            if w == math.inf:  # finite positive weights that overflow
-                raise NegativeWeightError(
-                    f"weights on ({u},{v}) sum past the largest float in snapshot {k}")
-        changes = tuple(EdgeChange(u, v, w) for (u, v), w in weight_sums.items())
+        for u, v, w, _ in buckets.get(k, ()):
+            if u not in known:
+                known.add(u)
+                added.append(u)
+            if v not in known:
+                known.add(v)
+                added.append(v)
+            key = (u, v) if u < v else (v, u)
+            weight_sums[key] = weight_sums.get(key, 0.0) + w
+        if _INF in weight_sums.values():  # finite positive weights that overflow
+            u, v = next(key for key, w in weight_sums.items() if w == _INF)
+            raise NegativeWeightError(
+                f"weights on ({u},{v}) sum past the largest float in snapshot {k}")
+        changes = tuple([_new(EdgeChange, (u, v, w)) for (u, v), w in weight_sums.items()])
         snapshots.append(Snapshot(k, GraphDelta(frozenset(added), frozenset(), changes)))
     return snapshots
 
@@ -151,23 +156,24 @@ def parse_delta_file(path: PathLike) -> GraphDelta:
     added: set[int] = set()
     removed: set[int] = set()
     changes: list[EdgeChange] = []
+    append = changes.append
     for lineno, line in _lines(path):
         fields = line.split()
         try:
-            if fields[0] == "AV" and len(fields) == 2:
-                added.add(int(fields[1]))
-            elif fields[0] == "DV" and len(fields) == 2:
-                removed.add(int(fields[1]))
-            elif fields[0] == "EW" and len(fields) == 4:
+            if fields[0] == "EW" and len(fields) == 4:  # the bulk of a delta: tested first
                 dw = float(fields[3])
                 if dw == 0.0:
                     raise ValueError("zero weight change")
-                if not math.isfinite(dw):
+                if not -_INF < dw < _INF:
                     raise ValueError(f"non-finite weight change {dw}")
                 u, v = int(fields[1]), int(fields[2])
                 if u == v:
                     raise SelfLoopError(f"{path}:{lineno}: self-loop on vertex {u}")
-                changes.append(EdgeChange(u, v, dw))
+                append(_new(EdgeChange, (u, v, dw)))
+            elif fields[0] == "AV" and len(fields) == 2:
+                added.add(int(fields[1]))
+            elif fields[0] == "DV" and len(fields) == 2:
+                removed.add(int(fields[1]))
             else:
                 raise ValueError(f"unrecognized record {fields[0]!r}")
         except ValueError as exc:

@@ -170,6 +170,35 @@ def snapshot_graphs(snapshots) -> list[WeightedGraph]:
     return graphs
 
 
+def naive_slices(events, interval: int, t0: Optional[int] = None) -> list[GraphDelta]:
+    """Reference for :func:`dynamo.ingest.slice_snapshots`, one snapshot at a time.
+
+    Snapshot ``k`` takes every event whose timestamp lies in
+    ``[t0 + k * interval, t0 + (k+1) * interval)``, and snapshot 0 also every
+    earlier one. Its delta adds the endpoints not seen in an earlier snapshot
+    and changes each pair by the sum of its weights there, in event order,
+    pairs in order of first appearance. Each snapshot rescans the whole stream.
+    """
+    if t0 is None:
+        t0 = events[0].timestamp
+
+    def snapshot_of(e) -> int:
+        return max(0, (e.timestamp - t0) // interval)
+
+    deltas = []
+    for k in range(max(map(snapshot_of, events)) + 1):
+        seen = {x for e in events if snapshot_of(e) < k for x in (e.u, e.v)}
+        added = {x for e in events if snapshot_of(e) == k for x in (e.u, e.v)} - seen
+        sums: dict[tuple[int, int], float] = {}
+        for e in events:
+            if snapshot_of(e) == k:
+                pair = (min(e.u, e.v), max(e.u, e.v))
+                sums[pair] = sums.get(pair, 0.0) + e.weight
+        changes = tuple(EdgeChange(u, v, w) for (u, v), w in sums.items())
+        deltas.append(GraphDelta(frozenset(added), frozenset(), changes))
+    return deltas
+
+
 def read_reports(path, fmt: str = "csv") -> list[SnapshotReport]:
     """Parse a report file back; inverse of :func:`dynamo.ingest.write_reports`.
 

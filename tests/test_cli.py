@@ -139,6 +139,22 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys, command):
     assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_strengths_whose_square_overflows_are_scored(tmp_path, capsys):
+    # a community's strength past about 1.3e154 squares past the largest float;
+    # the run scores it like the same stream with every weight scaled down
+    events = [(1, 2, 1e160), (3, 4, 1e160), (2, 3, 1.0)]
+    q = {}
+    for name, scale in (("huge", 1.0), ("scaled", 1e150)):
+        source, out = tmp_path / f"{name}.tsv", tmp_path / f"{name}.csv"
+        source.write_text("".join(f"{u}\t{v}\t{w / scale!r}\t0\n" for u, v, w in events))
+        assert main(["run", "--input", str(source), "--interval", "1",
+                     "--output", str(out)]) == 0, capsys.readouterr().err
+        q[name] = [(r.algorithm, r.modularity) for r in read_reports(out)]
+    assert [a for a, _ in q["huge"]] == [a for a, _ in q["scaled"]] == ["louvain", "dynamo"]
+    for (_, huge), (_, scaled) in zip(q["huge"], q["scaled"]):
+        assert huge == pytest.approx(scaled, abs=1e-12)
+
+
 ONE_PAIR_EVENTS = "1\t2\t1e308\t0\n1\t2\t1e308\t0\n"
 
 

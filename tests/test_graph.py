@@ -157,6 +157,49 @@ class TestApplyDelta:
         with pytest.raises(ValueError):
             GraphDelta(edge_changes=(EdgeChange(0, 2, dw),))
 
+    @pytest.mark.parametrize("delta, error, message", [
+        (GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0), EdgeChange(2, 2, 1.0))),
+         SelfLoopError, "self-loop change on vertex 2"),
+        (GraphDelta(edge_changes=(EdgeChange(5, 0, 1.0),)),
+         UnknownVertexError, "edge change references unknown vertex 5"),
+        (GraphDelta(edge_changes=(EdgeChange(0, 5, 1.0),)),
+         UnknownVertexError, "edge change references unknown vertex 5"),
+        (GraphDelta(edge_changes=(EdgeChange(6, 5, 1.0),)),
+         UnknownVertexError, "edge change references unknown vertex 6"),
+        (GraphDelta(edge_changes=(EdgeChange(1, 0, -2.0),)),
+         NegativeWeightError, "decrease of 2.0 exceeds weight 1.0 on (1,0)"),
+        (GraphDelta(edge_changes=(EdgeChange(0, 2, -1.0),)),
+         NegativeWeightError, "decrease of 1.0 exceeds weight 0.0 on (0,2)"),
+        (GraphDelta(edge_changes=(EdgeChange(0, 1, 1.7e308), EdgeChange(0, 1, 1.7e308))),
+         NegativeWeightError, "weight 1.7e+308 + 1.7e+308 on (0,1) overflows"),
+        (GraphDelta(edge_changes=(EdgeChange(0, 1, 1e308), EdgeChange(2, 3, 1e308))),
+         NegativeWeightError, "the edge weights sum past the largest float"),
+        (GraphDelta(added_vertices=frozenset({9, 0})),
+         DuplicateVertexError, "vertex 0 already exists"),
+        (GraphDelta(removed_vertices=frozenset({9})),
+         UnknownVertexError, "cannot remove unknown vertex 9"),
+    ])
+    def test_error_messages(self, delta, error, message):
+        g = graph_of([(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(error) as info:
+            apply_delta(g, delta)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(edge_changes=(EdgeChange(0, 1, 1.0), EdgeChange(0, 2, 0.0))),
+         "zero or non-finite edge change 0.0 on (0,2)"),
+        (dict(edge_changes=(EdgeChange(0, 1, -0.0), EdgeChange(0, 2, float("nan")))),
+         "zero or non-finite edge change -0.0 on (0,1)"),
+        (dict(edge_changes=(EdgeChange(3, 1, float("-inf")),)),
+         "zero or non-finite edge change -inf on (3,1)"),
+        (dict(added_vertices=frozenset({4, 3, 1}), removed_vertices=frozenset({3, 4, 2})),
+         "vertices both added and removed: [3, 4]"),
+    ])
+    def test_invalid_delta_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            GraphDelta(**kwargs)
+        assert str(info.value) == message
+
     def test_records_its_predecessor_and_delta_only(self):
         g = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))

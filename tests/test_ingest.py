@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynamo import (
     ConflictingDeltaError,
@@ -21,7 +22,7 @@ from dynamo import (
     write_reports,
 )
 from dynamo.ingest import format_delta, format_reports, load_delta_dir
-from helpers import graph_of, read_reports, snapshot_graphs
+from helpers import graph_of, naive_slices, read_reports, snapshot_graphs
 
 
 class TestParseEdgeEvents:
@@ -240,3 +241,163 @@ class TestReports:
         reports = [_report(0), _report(1, "dynamo", nmi=0.9, ari=0.8)]
         assert format_reports(reports) == format_reports(list(reports))
         assert format_reports(reports, "json") == format_reports(reports, "json")
+
+
+# Every error branch of the two stream readers, pinned with its type and its full
+# message. ``{path}`` stands for the file, so each message is checked with its line.
+EVENT_ERRORS = [
+    ("0\t1\n", ParseError, "{path}:1: expected 3 or 4 tab-separated fields, got 2"),
+    ("0\t1\t1.0\t5\t9\n", ParseError, "{path}:1: expected 3 or 4 tab-separated fields, got 5"),
+    ("0 1 1.0 5\n", ParseError, "{path}:1: expected 3 or 4 tab-separated fields, got 1"),
+    ("x\t1\t5\n", ParseError, "{path}:1: invalid literal for int() with base 10: 'x'"),
+    ("0\ty\t1.0\t5\n", ParseError, "{path}:1: invalid literal for int() with base 10: 'y'"),
+    ("0\t1\tw\t5\n", ParseError, "{path}:1: could not convert string to float: 'w'"),
+    ("0\t1\t1.0\tt\n", ParseError, "{path}:1: invalid literal for int() with base 10: 't'"),
+    ("0\t1\t1.5\n", ParseError, "{path}:1: invalid literal for int() with base 10: '1.5'"),
+    ("x\t1\tw\tt\n", ParseError, "{path}:1: invalid literal for int() with base 10: 'x'"),
+    ("0\t1\tw\tt\n", ParseError, "{path}:1: could not convert string to float: 'w'"),
+    ("0\t1\t0\t5\n", NegativeWeightError, "{path}:1: non-positive weight 0.0"),
+    ("0\t1\t-0.0\t5\n", NegativeWeightError, "{path}:1: non-positive weight -0.0"),
+    ("0\t1\t-1.5\t5\n", NegativeWeightError, "{path}:1: non-positive weight -1.5"),
+    ("0\t1\tnan\t5\n", ParseError, "{path}:1: non-finite weight nan"),
+    ("0\t1\tinf\t5\n", ParseError, "{path}:1: non-finite weight inf"),
+    ("0\t1\t-inf\t5\n", ParseError, "{path}:1: non-finite weight -inf"),
+    ("0\t0\t5\n", SelfLoopError, "{path}:1: self-loop on vertex 0"),
+    ("3\t3\t-1.0\t5\n", SelfLoopError, "{path}:1: self-loop on vertex 3"),
+    ("3\t3\tnan\t5\n", ParseError, "{path}:1: non-finite weight nan"),
+    ("# c\n\n0\t1\t5\n  # c\n0\t1\tbad\t5\n", ParseError,
+     "{path}:5: could not convert string to float: 'bad'"),
+]
+
+DELTA_ERRORS = [
+    ("XX 2\n", ParseError, "{path}:1: unrecognized record 'XX'"),
+    ("ew 0 1 1.0\n", ParseError, "{path}:1: unrecognized record 'ew'"),
+    ("AV\n", ParseError, "{path}:1: unrecognized record 'AV'"),
+    ("AV 1 2\n", ParseError, "{path}:1: unrecognized record 'AV'"),
+    ("DV\n", ParseError, "{path}:1: unrecognized record 'DV'"),
+    ("DV 1 2\n", ParseError, "{path}:1: unrecognized record 'DV'"),
+    ("EW 0 1\n", ParseError, "{path}:1: unrecognized record 'EW'"),
+    ("EW 0 1 1.0 2\n", ParseError, "{path}:1: unrecognized record 'EW'"),
+    ("AV x\n", ParseError, "{path}:1: invalid literal for int() with base 10: 'x'"),
+    ("DV 1.5\n", ParseError, "{path}:1: invalid literal for int() with base 10: '1.5'"),
+    ("EW a 1 1.0\n", ParseError, "{path}:1: invalid literal for int() with base 10: 'a'"),
+    ("EW 0 b 1.0\n", ParseError, "{path}:1: invalid literal for int() with base 10: 'b'"),
+    ("EW 0 1 w\n", ParseError, "{path}:1: could not convert string to float: 'w'"),
+    ("EW a b w\n", ParseError, "{path}:1: could not convert string to float: 'w'"),
+    ("EW a b 0\n", ParseError, "{path}:1: zero weight change"),
+    ("EW 0 1 0\n", ParseError, "{path}:1: zero weight change"),
+    ("EW 0 1 -0.0\n", ParseError, "{path}:1: zero weight change"),
+    ("EW 0 1 nan\n", ParseError, "{path}:1: non-finite weight change nan"),
+    ("EW 0 1 inf\n", ParseError, "{path}:1: non-finite weight change inf"),
+    ("EW 0 1 -inf\n", ParseError, "{path}:1: non-finite weight change -inf"),
+    ("EW a b nan\n", ParseError, "{path}:1: non-finite weight change nan"),
+    ("EW 2 2 1.0\n", SelfLoopError, "{path}:1: self-loop on vertex 2"),
+    ("EW 2 2 -1.0\n", SelfLoopError, "{path}:1: self-loop on vertex 2"),
+    ("EW 2 2 0.0\n", ParseError, "{path}:1: zero weight change"),
+    ("AV 3\nDV 3\nAV 1\nDV 1\n", ConflictingDeltaError,
+     "{path}: vertices both added and deleted: [1, 3]"),
+    ("AV 3\nDV 3\nXX\n", ParseError, "{path}:3: unrecognized record 'XX'"),
+    ("# c\n\nAV 1\n\t# c\nEW 0 1 zero\n", ParseError,
+     "{path}:5: could not convert string to float: 'zero'"),
+]
+
+
+def _raised(parse, path):
+    with pytest.raises(Exception) as info:
+        parse(path)
+    return info.type, str(info.value)
+
+
+class TestReaderErrors:
+    @pytest.mark.parametrize("text, error, message", EVENT_ERRORS)
+    def test_edge_event_errors(self, tmp_path, text, error, message):
+        path = tmp_path / "events.tsv"
+        path.write_text(text)
+        assert _raised(parse_edge_events, path) == (error, message.format(path=path))
+
+    @pytest.mark.parametrize("text, error, message", DELTA_ERRORS)
+    def test_delta_errors(self, tmp_path, text, error, message):
+        path = tmp_path / "d.delta"
+        path.write_text(text)
+        assert _raised(parse_delta_file, path) == (error, message.format(path=path))
+
+    @pytest.mark.parametrize("parse", [parse_edge_events, parse_delta_file])
+    def test_non_utf8_bytes(self, tmp_path, parse):
+        path = tmp_path / "input"
+        path.write_bytes(b"AV 0\n\xff\n")
+        assert _raised(parse, path) == (
+            ParseError, f"{path}: not UTF-8 text (invalid start byte)")
+
+
+class TestReaderLayouts:
+    # CRLF endings, surrounding whitespace, indented comments, blank lines and a
+    # missing final newline all read like the plain layout
+    EVENTS = [EdgeEvent(0, 1, 1.5, 100), EdgeEvent(1, 2, 1.0, 101), EdgeEvent(2, 0, 2.0, 101)]
+    DELTA = GraphDelta(frozenset({0, 1, 2}), frozenset({7}),
+                       (EdgeChange(0, 1, 1.5), EdgeChange(2, 1, -0.25)))
+
+    @pytest.mark.parametrize("text", [
+        "0\t1\t1.5\t100\n1\t2\t101\n2\t0\t2.0\t101\n",
+        "0\t1\t1.5\t100\r\n1\t2\t101\r\n2\t0\t2.0\t101\r\n",
+        "  0\t1\t1.5\t100  \n\t1\t2\t101\t\n 2\t0\t2.0\t101 \n",
+        "   # comment\n0\t1\t1.5\t100\n\t# tabbed comment\n1\t2\t101\n2\t0\t2.0\t101\n",
+        "0\t1\t1.5\t100\n1\t2\t101\n2\t0\t2.0\t101",
+        "\n\n0\t1\t1.5\t100\n   \n\t\n1\t2\t101\n\r\n2\t0\t2.0\t101\n\n",
+        "0\t1\t 1.5\t100\n1\t2\t101\n2\t0\t2.0 \t 101\n",
+    ], ids=["plain", "crlf", "whitespace", "indented-comments", "no-final-newline",
+            "blank-lines", "padded-fields"])
+    def test_edge_event_layouts(self, tmp_path, text):
+        path = tmp_path / "events.tsv"
+        path.write_bytes(text.encode())
+        assert parse_edge_events(path) == self.EVENTS
+
+    @pytest.mark.parametrize("text", [
+        "AV 0\nAV 1\nAV 2\nDV 7\nEW 0 1 1.5\nEW 2 1 -0.25\n",
+        "AV 0\r\nAV 1\r\nAV 2\r\nDV 7\r\nEW 0 1 1.5\r\nEW 2 1 -0.25\r\n",
+        "  AV 0  \n\tAV 1\nAV 2 \nDV 7\n EW 0 1 1.5\t\nEW 2 1 -0.25\n",
+        "AV\t0\nAV\t1\nAV\t2\nDV\t7\nEW\t0\t1\t1.5\nEW 2\t1  -0.25\n",
+        "  # comment\nAV 0\nAV 1\n\t# tabbed\nAV 2\nDV 7\nEW 0 1 1.5\nEW 2 1 -0.25\n",
+        "AV 0\nAV 1\nAV 2\nDV 7\nEW 0 1 1.5\nEW 2 1 -0.25",
+        "\nAV 0\n\n  \nAV 1\nAV 2\n\t\nDV 7\n\r\nEW 0 1 1.5\nEW 2 1 -0.25\n\n",
+    ], ids=["plain", "crlf", "whitespace", "tabs", "indented-comments",
+            "no-final-newline", "blank-lines"])
+    def test_delta_layouts(self, tmp_path, text):
+        path = tmp_path / "d.delta"
+        path.write_bytes(text.encode())
+        assert parse_delta_file(path) == self.DELTA
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+# few vertex ids, so that pairs repeat within and across snapshots
+EVENT_STREAMS = st.lists(st.builds(
+    EdgeEvent, st.integers(0, 7), st.integers(0, 7),
+    st.sampled_from([0.5, 1.0, 1.25]) | st.floats(1e-3, 1e3), st.integers(-6, 40),
+).filter(lambda e: e.u != e.v), min_size=1, max_size=40)
+
+
+@st.composite
+def deltas(draw):
+    ids = st.integers(-50, 50)
+    added = draw(st.frozensets(ids, max_size=8))
+    removed = draw(st.frozensets(ids, max_size=8)) - added
+    weights = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+    changes = draw(st.lists(st.builds(EdgeChange, ids, ids, weights)
+                            .filter(lambda ec: ec.u != ec.v), max_size=20))
+    return GraphDelta(added, removed, tuple(changes))
+
+
+class TestReaderProperties:
+    @PROPERTY
+    @given(deltas())
+    def test_delta_file_round_trip(self, tmp_path_factory, d):
+        path = tmp_path_factory.mktemp("delta") / "d.delta"
+        write_delta_file(d, path)
+        assert parse_delta_file(path) == d
+
+    @PROPERTY
+    @given(EVENT_STREAMS, st.integers(1, 7), st.none() | st.integers(-10, 20))
+    def test_slicing_matches_the_naive_slicer(self, events, interval, t0):
+        snaps = slice_snapshots(events, interval, t0)
+        assert [s.index for s in snaps] == list(range(len(snaps)))
+        assert [s.delta for s in snaps] == naive_slices(events, interval, t0)

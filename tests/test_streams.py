@@ -12,7 +12,7 @@ weight, bit for bit.
 """
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from dynamo import (
@@ -187,3 +187,54 @@ DeltaStream.TestCase.settings = settings(
     derandomize=True, database=None, deadline=None, max_examples=200,
     stateful_step_count=10)
 TestDeltaStream = DeltaStream.TestCase
+
+
+@st.composite
+def bulk_steps(draw):
+    """A start graph's rows and one bulk delta on it.
+
+    The start graph joins pairs of ``old`` vertices. The delta adds ``new``
+    vertices, changes many pairs (some several times: increases by any weight
+    in [0.5, 8], decreases of a weight of at least 0.5 to half or to exactly
+    zero, the weight tracked as the changes are made) and removes vertices
+    that it does not add.
+    """
+    n_old, n_new = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    weights = st.floats(0.5, 8.0)
+    pairs = st.tuples(st.integers(0, 23), st.integers(0, 23))
+    rows = {v: {} for v in range(n_old)}
+    for (u, v), w in draw(st.lists(st.tuples(pairs, weights), min_size=5, max_size=25)):
+        u, v = u % max(n_old, 1), v % max(n_old, 1)
+        if u != v:
+            rows[u][v] = rows[v][u] = rows[u].get(v, 0.0) + w
+    current = {(u, v): w for u in rows for v, w in rows[u].items()}
+    changes = []
+    n = max(n_old + n_new, 1)
+    for (u, v), kind, w_up in draw(st.lists(st.tuples(pairs, st.integers(0, 3), weights),
+                                            min_size=10, max_size=40)):
+        u, v = u % n, v % n
+        if u == v:
+            continue
+        w = current.get((u, v), 0.0)
+        # halving only from 0.5 keeps every weight far above the 1e-12 that apply_delta
+        # treats as zero, where the fold would keep the edge
+        dw = (-w, -w / 2)[kind] if w >= 0.5 and kind < 2 else w_up
+        changes.append(EdgeChange(u, v, dw))
+        current[u, v] = current[v, u] = w + dw
+    removed = frozenset(v for v in draw(st.frozensets(st.integers(0, 11), max_size=3))
+                        if v < n_old)
+    return rows, GraphDelta(frozenset(range(n_old, n_old + n_new)), removed, tuple(changes))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(bulk_steps())
+def test_bulk_apply_delta_matches_the_fold(step):
+    # one delta with many changes, applied at once, against the edge-by-edge
+    # fold: every weight, every strength and the total weight, bit for bit
+    rows, d = step
+    g1 = apply_delta(WeightedGraph(rows), d)
+    expected = WeightedGraph(fold(rows, d))
+    assert adjacency(g1) == adjacency(expected)
+    assert {v: g1.strength(v) for v in g1.vertices} == {
+        v: expected.strength(v) for v in expected.vertices}
+    assert g1.total_weight == expected.total_weight
