@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import synthgen
 from .errors import DynamoError, InfeasibleChurnError
@@ -131,12 +131,23 @@ def _cmd_run(args) -> int:
     else:
         snapshots = load_delta_dir(args.deltas_dir)
 
-    reports = run_benchmark(snapshots, config)
+    reports = run_benchmark(_handed_over(snapshots), config)
     if args.output == "-":
         sys.stdout.write(format_reports(reports, args.format))
     else:
         write_reports(reports, args.output, args.format)
     return 0
+
+
+def _handed_over(items: list) -> Iterator:
+    """Yield the items of ``items`` in order, removing each from the list as it is yielded.
+
+    The consumer then holds an item's last reference, so it can free each delta
+    once applied while every file was still parsed before detection began.
+    """
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def _cmd_detect(args) -> int:

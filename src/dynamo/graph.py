@@ -258,7 +258,7 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
             if row_v is None:
                 row_v = adj[v] = own[v] = dict(adj[v])
         old_w = row_u.get(v, 0.0)
-        new_w = old_w + dw
+        new_w = old_w + dw if old_w else dw  # a new edge keeps the delta's float: 0.0 + dw == dw
         # dw is finite (GraphDelta checks it), so only a sum past the largest float is inf
         if _WEIGHT_EPS < new_w < _INF:
             row_u[v] = row_v[u] = new_w

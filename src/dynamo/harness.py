@@ -9,8 +9,8 @@ from those singletons. Wall-clock timing covers detection only (never I/O or
 metric computation) and averages over ``repeat`` identical repetitions;
 when both pipelines run, similarity metrics for incremental rows are computed
 against the same-snapshot static partition, which serves as the reference. The
-snapshot stream is folded one delta at a time, so a run holds two graphs
-however long the stream is.
+snapshot stream is folded one delta at a time, so a run holds two graphs and at
+most the delta a step reads, however long the stream is.
 """
 
 from __future__ import annotations
@@ -56,21 +56,28 @@ def run_benchmark(
     """Run the configured detectors over ``snapshots`` and build report rows.
 
     The stream is consumed in one pass that holds only the current snapshot
-    graph and its predecessor; rows come back grouped by algorithm.
+    graph and its predecessor; rows come back grouped by algorithm. A snapshot's
+    delta is dropped once applied unless a ``dynamo`` update reads it, so a
+    stream that hands over its last reference frees it before detection.
     """
     pipelines = list(dict.fromkeys(config.algorithms))
     rows: dict[str, list[SnapshotReport]] = {name: [] for name in pipelines}
     partitions: dict[str, Partition] = {}  # each pipeline's latest result
     graph = WeightedGraph.empty()
     for snap in snapshots:
-        prev_graph, graph = graph, apply_delta(graph, snap.delta)
+        index, delta = snap.index, snap.delta
+        del snap  # `delta` may now be the last reference to it
+        prev_graph, graph = graph, apply_delta(graph, delta)
         elapsed: dict[str, int] = {}
         scored = graph.total_weight > 0.0
+        resumes = scored and "dynamo" in partitions  # a dynamo update reads the delta
+        if not resumes:
+            del delta  # freed before detection
         for name in pipelines:
             if not scored:  # Q is undefined on a zero-weight graph: unscored singletons
                 step = partial(Partition.singletons, graph)
-            elif name == "dynamo" and name in partitions:
-                step = _incremental_step(graph, prev_graph, partitions[name], snap.delta, config)
+            elif name == "dynamo" and resumes:
+                step = _incremental_step(graph, prev_graph, partitions[name], delta, config)
             else:
                 step = partial(louvain, graph)
             partitions[name], elapsed[name] = _timed(step, config.repeat)
@@ -84,7 +91,7 @@ def run_benchmark(
                 score_nmi, score_ari = table.nmi(), table.ari()
             cumulative = rows[name][-1].cumulative_elapsed_ns if rows[name] else 0
             rows[name].append(SnapshotReport(
-                snapshot_index=snap.index,
+                snapshot_index=index,
                 algorithm=name,
                 modularity=modularity(graph, partition) if scored else None,
                 nmi=score_nmi,
@@ -96,7 +103,7 @@ def run_benchmark(
                 num_communities=partition.num_communities,
             ))
             if on_result is not None:
-                on_result(snap.index, graph, name, partition)
+                on_result(index, graph, name, partition)
     if not partitions:
         raise ValueError("no snapshots to process")
     return [row for name in pipelines for row in rows[name]]

@@ -77,17 +77,26 @@ _new = tuple.__new__
 _INF = math.inf
 
 
+class _Ids(dict):
+    """Vertex-id field text to its int, converted on first sight: a file holds one int per id."""
+
+    def __missing__(self, text: str) -> int:
+        self[text] = n = int(text)
+        return n
+
+
 def parse_edge_events(path: PathLike) -> list[EdgeEvent]:
-    """Read an edge-event file, preserving file order."""
+    """Read an edge-event file, preserving file order; events share one int per vertex id."""
     events: list[EdgeEvent] = []
     append = events.append
+    ids = _Ids()
     for lineno, line in _lines(path):
         fields = line.split("\t")
         try:
             if len(fields) == 4:
-                u, v, w, ts = int(fields[0]), int(fields[1]), float(fields[2]), int(fields[3])
+                u, v, w, ts = ids[fields[0]], ids[fields[1]], float(fields[2]), int(fields[3])
             elif len(fields) == 3:
-                u, v, ts = int(fields[0]), int(fields[1]), int(fields[2])
+                u, v, ts = ids[fields[0]], ids[fields[1]], int(fields[2])
                 w = 1.0
             else:
                 raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
@@ -152,28 +161,36 @@ def slice_snapshots(
 
 
 def parse_delta_file(path: PathLike) -> GraphDelta:
-    """Read one explicit snapshot delta; records keep file order."""
+    """Read one explicit snapshot delta; records keep file order.
+
+    The records share one int per vertex id, and an ``EW`` line whose weight
+    text repeats the previous ``EW`` line's reuses that line's checked float.
+    """
     added: set[int] = set()
     removed: set[int] = set()
     changes: list[EdgeChange] = []
     append = changes.append
+    ids = _Ids()
+    dw_text = None
     for lineno, line in _lines(path):
         fields = line.split()
         try:
             if fields[0] == "EW" and len(fields) == 4:  # the bulk of a delta: tested first
-                dw = float(fields[3])
-                if dw == 0.0:
-                    raise ValueError("zero weight change")
-                if not -_INF < dw < _INF:
-                    raise ValueError(f"non-finite weight change {dw}")
-                u, v = int(fields[1]), int(fields[2])
+                if fields[3] != dw_text:
+                    dw = float(fields[3])
+                    if dw == 0.0:
+                        raise ValueError("zero weight change")
+                    if not -_INF < dw < _INF:
+                        raise ValueError(f"non-finite weight change {dw}")
+                    dw_text = fields[3]
+                u, v = ids[fields[1]], ids[fields[2]]
                 if u == v:
                     raise SelfLoopError(f"{path}:{lineno}: self-loop on vertex {u}")
                 append(_new(EdgeChange, (u, v, dw)))
             elif fields[0] == "AV" and len(fields) == 2:
-                added.add(int(fields[1]))
+                added.add(ids[fields[1]])
             elif fields[0] == "DV" and len(fields) == 2:
-                removed.add(int(fields[1]))
+                removed.add(ids[fields[1]])
             else:
                 raise ValueError(f"unrecognized record {fields[0]!r}")
         except ValueError as exc:

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from dynamo import cli, harness
 from dynamo.cli import _build_parser, main
+from dynamo.ingest import load_delta_dir
 from dynamo.synthgen import Churn, GenConfig, generate
 from helpers import read_reports
 
@@ -421,6 +423,37 @@ class TestRun:
             finally:
                 tracemalloc.stop()
         assert peaks[32] < 1.5 * peaks[4], peaks
+
+
+    def test_hand_over_empties_the_parsed_list(self, tmp_path, monkeypatch):
+        # the run, not the CLI, holds each delta once it is handed over
+        source = tmp_path / "scenario"
+        generate(GenConfig(seed=3, num_snapshots=4)).write(source)
+        parsed = []
+
+        def load(directory):
+            parsed.append(load_delta_dir(directory))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "load_delta_dir", load)
+        assert main(["run", "--deltas-dir", str(source / "deltas"),
+                     "--output", str(tmp_path / "r.csv")]) == 0
+        assert parsed == [[]]
+
+    def test_bad_last_file_fails_before_any_detection(self, tmp_path, monkeypatch, capsys):
+        source = tmp_path / "deltas"
+        source.mkdir()
+        (source / "s0.delta").write_text("AV 0\nAV 1\nAV 2\nEW 0 1 1.0\n")
+        (source / "s1.delta").write_text("EW 1 2 1.0\n")
+        (source / "s2.delta").write_text("EW 0 2 1.0\nEW 0 2 oops\n")
+        calls = []
+        monkeypatch.setattr(harness, "louvain", lambda graph: calls.append(graph))
+        out = tmp_path / "r.csv"
+        assert main(["run", "--deltas-dir", str(source), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {source / 's2.delta'}:2: could not convert string to float: 'oops'\n")
+        assert calls == []
+        assert not out.exists()
 
 
 class TestEntrypoint:

@@ -87,6 +87,16 @@ class TestApplyDelta:
         assert out.strength(1) == 3.0
         assert out.strength(2) == 2.0
 
+    def test_new_edge_holds_the_delta_float(self):
+        # a created edge stores the change's own float (0.0 + dw == dw); an
+        # existing edge stores old + dw, bit for bit
+        dw = float("2.75")
+        g = graph_of([(0, 1, 0.1)])
+        out = apply_delta(g, GraphDelta(frozenset({2}), frozenset(),
+                                        (EdgeChange(1, 2, dw), EdgeChange(0, 1, 0.2))))
+        assert out.weight(1, 2) is dw and out.weight(2, 1) is dw
+        assert out.weight(0, 1).hex() == (0.1 + 0.2).hex() != 0.3.hex()
+
     def test_input_snapshot_unmodified(self):
         g = two_triangles()
         before = adjacency(g)

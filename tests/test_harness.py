@@ -1,13 +1,17 @@
+import weakref
+
 import pytest
 
 from dynamo import (
     ConfusionTable,
+    GraphDelta,
     RunConfig,
     harness,
     modularity,
     partition_rebuild_aggregates,
     run_benchmark,
 )
+from dynamo.ingest import Snapshot
 from dynamo.synthgen import Churn, GenConfig, generate
 
 SCENARIO = GenConfig(seed=11, num_communities=3, community_size=10, p_in=0.5,
@@ -175,3 +179,41 @@ class TestRunBenchmark:
         for r in reports:
             totals[r.algorithm] = max(totals.get(r.algorithm, 0), r.cumulative_elapsed_ns)
         assert totals["dynamo"] < totals["louvain"]
+
+
+class TestDeltaRelease:
+    @pytest.mark.parametrize("algorithms", [("dynamo",), ("louvain", "dynamo")])
+    def test_a_run_holds_only_the_delta_a_step_reads(self, scenario, monkeypatch, algorithms):
+        # the stream hands over fresh deltas that only the run refers to
+        refs = []
+
+        def fresh(delta):
+            copy = GraphDelta(delta.added_vertices, delta.removed_vertices, delta.edge_changes)
+            refs.append(weakref.ref(copy))
+            return copy
+
+        statics, updates = [], []
+        louvain, dynamo_update = harness.louvain, harness.dynamo_update
+
+        def recorded_louvain(graph):
+            statics.append([ref() is not None for ref in refs])
+            return louvain(graph)
+
+        def recorded_update(g_t1, g_t, p_t, d):
+            updates.append([ref() is not None for ref in refs])
+            assert d is refs[-1]()
+            return dynamo_update(g_t1, g_t, p_t, d)
+
+        monkeypatch.setattr(harness, "louvain", recorded_louvain)
+        monkeypatch.setattr(harness, "dynamo_update", recorded_update)
+        stream = (Snapshot(s.index, fresh(s.delta)) for s in scenario.snapshots)
+        run_benchmark(stream, RunConfig(algorithms=algorithms))
+
+        n = len(scenario.snapshots)
+        # snapshot 0's delta is freed before its static detection starts
+        assert statics[:len(algorithms)] == [[False]] * len(algorithms)
+        # an update on snapshot k reads delta k, the only one alive
+        assert updates == [[False] * k + [True] for k in range(1, n)]
+        # a louvain rerun on snapshot k >= 1 sees delta k, kept for the update after it
+        assert statics[len(algorithms):] == [[False] * k + [True] for k in range(1, n)
+                                             if "louvain" in algorithms]

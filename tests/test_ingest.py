@@ -57,6 +57,12 @@ class TestParseEdgeEvents:
             with pytest.raises(ParseError, match=":2: non-finite"):
                 parse_edge_events(path)
 
+    def test_events_share_one_int_per_vertex_id(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        path.write_text("1000\t2000\t5\n2000\t3000\t2.5\t6\n")
+        first, second = parse_edge_events(path)
+        assert first.v is second.u
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "events.tsv"
         path.write_text("0\t1\t1.0\t5\nbogus line\n")
@@ -150,6 +156,19 @@ class TestDeltaFiles:
         path.write_text("AV 2\nEW 2 2 1.0\n")
         with pytest.raises(SelfLoopError, match=r"d\.delta:2: self-loop on vertex 2"):
             parse_delta_file(path)
+
+    def test_records_share_ids_and_a_repeated_weight(self, tmp_path):
+        # ids above CPython's small-int cache, so sharing is not the interpreter's
+        path = tmp_path / "d.delta"
+        path.write_text("AV 1000\nEW 1000 2000 2.5\nEW 2000 3000 2.5\nDV 3000\n"
+                        "EW 1000 3000 0.5\nEW 2000 1000 2.5\n")
+        d = parse_delta_file(path)
+        first, second, third, fourth = d.edge_changes
+        assert next(iter(d.added_vertices)) is first.u
+        assert first.v is second.u is fourth.u and second.v is third.v
+        assert next(iter(d.removed_vertices)) is second.v
+        assert first.delta_w is second.delta_w == 2.5  # consecutive lines share one float
+        assert fourth.delta_w == 2.5
 
     def test_round_trip(self, tmp_path):
         d = GraphDelta(frozenset({9}), frozenset({2}),
@@ -267,6 +286,9 @@ EVENT_ERRORS = [
     ("3\t3\tnan\t5\n", ParseError, "{path}:1: non-finite weight nan"),
     ("# c\n\n0\t1\t5\n  # c\n0\t1\tbad\t5\n", ParseError,
      "{path}:5: could not convert string to float: 'bad'"),
+    # after a valid line, whose ids are already converted
+    ("0\t1\t5\n1\tx\t5\n", ParseError, "{path}:2: invalid literal for int() with base 10: 'x'"),
+    ("0\t1\t5\n1\t1\t5\n", SelfLoopError, "{path}:2: self-loop on vertex 1"),
 ]
 
 DELTA_ERRORS = [
@@ -299,6 +321,13 @@ DELTA_ERRORS = [
     ("AV 3\nDV 3\nXX\n", ParseError, "{path}:3: unrecognized record 'XX'"),
     ("# c\n\nAV 1\n\t# c\nEW 0 1 zero\n", ParseError,
      "{path}:5: could not convert string to float: 'zero'"),
+    # after a valid line, whose ids and weight are already converted
+    ("EW 0 1 1.0\nEW 0 x 1.0\n", ParseError, "{path}:2: invalid literal for int() with base 10: 'x'"),
+    ("EW 0 1 1.0\nAV x\n", ParseError, "{path}:2: invalid literal for int() with base 10: 'x'"),
+    ("EW 0 1 1.0\nEW 1 1 1.0\n", SelfLoopError, "{path}:2: self-loop on vertex 1"),
+    ("EW 0 1 1.0\nEW 0 1 0.0\n", ParseError, "{path}:2: zero weight change"),
+    ("EW 0 1 1.0\nEW 0 1 nan\n", ParseError, "{path}:2: non-finite weight change nan"),
+    ("EW 0 1 1.0\nEW 0 1 inf\n", ParseError, "{path}:2: non-finite weight change inf"),
 ]
 
 
