@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import io
+import json
 import os
 import random
 import re
@@ -282,16 +283,22 @@ class TestRun:
         assert outs[0] == outs[1]
 
     @staticmethod
-    def six_kind_report(tmp_path, weight_range=(1.0, 1.0),
-                        drop=("elapsed_ns", "cumulative_elapsed_ns")) -> list[list[str]]:
-        """A `dynamo run` CSV over a seeded six-kind stream, without the ``drop`` columns."""
+    def six_kind_deltas(tmp_path, weight_range=(1.0, 1.0)) -> Path:
+        """The delta directory of a seeded six-kind stream, written under ``tmp_path``."""
         source = tmp_path / "scenario"
         generate(GenConfig(seed=4, num_communities=5, community_size=10, p_in=0.5,
                            p_out=0.04, num_snapshots=12, weight_range=weight_range,
                            churn=Churn(icea=1, ccea=2, iced=1, cced=2,
                                        vertex_add=1, vertex_del=1))).write(source)
+        return source / "deltas"
+
+    @classmethod
+    def six_kind_report(cls, tmp_path, weight_range=(1.0, 1.0),
+                        drop=("elapsed_ns", "cumulative_elapsed_ns")) -> list[list[str]]:
+        """A `dynamo run` CSV over a seeded six-kind stream, without the ``drop`` columns."""
+        deltas = cls.six_kind_deltas(tmp_path, weight_range)
         out = tmp_path / "r.csv"
-        assert main(["run", "--deltas-dir", str(source / "deltas"), "--output", str(out)]) == 0
+        assert main(["run", "--deltas-dir", str(deltas), "--output", str(out)]) == 0
         rows = list(csv.reader(io.StringIO(out.read_text())))
         keep = [i for i, h in enumerate(rows[0]) if h not in drop]
         assert len(rows) == 25
@@ -327,6 +334,35 @@ class TestRun:
         rows = self.six_kind_report(tmp_path, weight_range=(1.0, 3.0),
                                     drop=("elapsed_ns", "cumulative_elapsed_ns", "modularity"))
         assert self.rows_hash(rows, algorithm) == digest
+
+    def test_json_report_matches_golden_hash_and_csv_order(self, tmp_path):
+        # the JSON bytes of the stream behind the dynamo golden hash, without the
+        # two timing lines of each object; every object lists its fields in the
+        # order of the CSV header's columns
+        deltas = self.six_kind_deltas(tmp_path)
+        out = tmp_path / "r.json"
+        assert main(["run", "--deltas-dir", str(deltas), "--output", str(out),
+                     "--format", "json"]) == 0
+        text = out.read_text()
+        kept = [line for line in text.splitlines(keepends=True)
+                if not re.match(r' *"(cumulative_)?elapsed_ns": \d+,\n', line)]
+        assert len(kept) == text.count("\n") - 2 * 24
+        assert hashlib.sha256("".join(kept).encode()).hexdigest() == (
+            "22fc2dc2fd37f2ea355f504f1afd632881a2a35d24abc00490a2a446addfdb6a")
+        objects = json.loads(text)
+        keys = ["snapshot_index", "algorithm", "modularity", "nmi", "ari", "elapsed_ns",
+                "cumulative_elapsed_ns", "num_vertices", "num_edges", "num_communities"]
+        assert all(list(obj) == keys for obj in objects)
+        csv_out = tmp_path / "r.csv"
+        assert main(["run", "--deltas-dir", str(deltas), "--output", str(csv_out)]) == 0
+        rows = list(csv.reader(io.StringIO(csv_out.read_text())))
+        timing = {"elapsed_ns", "cumulative_elapsed_ns"}
+        assert len(rows) == len(objects) + 1
+        for obj, row in zip(objects, rows[1:]):
+            cells = ["" if value is None else repr(value) if isinstance(value, float)
+                     else str(value) for value in obj.values()]
+            assert [c for c, h in zip(cells, rows[0]) if h not in timing] == [
+                c for c, h in zip(row, rows[0]) if h not in timing]
 
     def test_config_errors_exit_two(self, event_file, tmp_path, capsys):
         assert main(["run", "--input", str(event_file)]) == 2  # missing interval
