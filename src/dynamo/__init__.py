@@ -63,8 +63,19 @@ from .louvain import (
     louvain,
 )
 from .metrics import ConfusionTable, ari, nmi
-from .synthgen import Churn, GenConfig, GeneratedScenario, generate
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the generator's names load on first access: a run never needs the generator
+_SYNTHGEN_NAMES = ("Churn", "GenConfig", "GeneratedScenario", "generate")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["synthgen", *_SYNTHGEN_NAMES])
+
+
+def __getattr__(name: str):
+    if name in _SYNTHGEN_NAMES:
+        from . import synthgen
+
+        return getattr(synthgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 from typing import Iterator, Optional
 
-from . import synthgen
 from .errors import DynamoError, InfeasibleChurnError
 from .graph import EdgeChange, GraphDelta, WeightedGraph, apply_delta
 from .harness import ALGORITHMS, RunConfig, run_benchmark
@@ -171,6 +170,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import synthgen  # the generator and its dataclasses load only for this command
+
     config = synthgen.GenConfig(
         seed=args.seed,
         num_communities=args.communities,

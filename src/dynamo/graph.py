@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
@@ -185,27 +184,56 @@ class VertexRemoval(NamedTuple):
 Change = Union[VertexAddition, VertexRemoval, EdgeChange]
 
 
-@dataclass(frozen=True)
 class GraphDelta:
     """One snapshot's batch of changes.
 
     ``edge_changes`` preserves input (file) order, which downstream batch
     processing relies on. A removed vertex implies deletion of all its incident
     edges at apply time; those implicit deletions need not be listed.
+
+    A delta is immutable and compares and hashes by its three fields. It is a
+    class rather than a tuple because :func:`apply_delta` records it by weak
+    reference.
     """
 
-    added_vertices: frozenset[int] = frozenset()
-    removed_vertices: frozenset[int] = frozenset()
-    edge_changes: tuple[EdgeChange, ...] = ()
+    __slots__ = ("added_vertices", "removed_vertices", "edge_changes", "__weakref__")
 
-    def __post_init__(self):
-        overlap = self.added_vertices & self.removed_vertices
+    def __init__(self, added_vertices: frozenset[int] = frozenset(),
+                 removed_vertices: frozenset[int] = frozenset(),
+                 edge_changes: tuple[EdgeChange, ...] = ()):
+        overlap = added_vertices & removed_vertices
         if overlap:
             raise ValueError(f"vertices both added and removed: {sorted(overlap)}")
-        for ec in self.edge_changes:
+        for ec in edge_changes:
             if ec.delta_w == 0.0 or not math.isfinite(ec.delta_w):
                 raise ValueError(f"zero or non-finite edge change {ec.delta_w} "
                                  f"on ({ec.u},{ec.v})")
+        fill = object.__setattr__
+        fill(self, "added_vertices", added_vertices)
+        fill(self, "removed_vertices", removed_vertices)
+        fill(self, "edge_changes", edge_changes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable GraphDelta")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable GraphDelta")
+
+    def _key(self) -> tuple:
+        return self.added_vertices, self.removed_vertices, self.edge_changes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"GraphDelta(added_vertices={self.added_vertices!r}, "
+                f"removed_vertices={self.removed_vertices!r}, "
+                f"edge_changes={self.edge_changes!r})")
 
     def changes(self) -> Iterator[Change]:
         """All elements in deterministic order: additions, removals, then edge changes."""

@@ -15,10 +15,10 @@ most the delta a step reads, however long the stream is.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graph import GraphDelta, Partition, WeightedGraph, apply_delta, modularity
 from .incremental import dynamo_update
@@ -32,20 +32,39 @@ ALGORITHMS = ("louvain", "dynamo")
 ResultHook = Callable[[int, WeightedGraph, str, Partition], None]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    algorithms: tuple[str, ...] = ALGORITHMS
-    refine_threshold: float = -1.0
-    repeat: int = 1
+class _RunFields(NamedTuple):
+    algorithms: tuple[str, ...]
+    refine_threshold: float
+    repeat: int
 
-    def __post_init__(self):
-        if not self.algorithms:
+
+class RunConfig(_RunFields):
+    """The detectors a run compares, the refinement threshold, and the timing repetitions.
+
+    A threshold of -1 or below never refines; NaN is refused, since it would
+    compare false with every modularity.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, algorithms: tuple[str, ...] = ALGORITHMS,
+                refine_threshold: float = -1.0, repeat: int = 1) -> RunConfig:
+        if not algorithms:
             raise ValueError("select at least one algorithm")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
+        unknown = set(algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if self.repeat < 1:
+        if not isinstance(repeat, int):
+            raise ValueError(f"repeat must be an int, got {repeat!r}")
+        if repeat < 1:
             raise ValueError("repeat must be at least 1")
+        if math.isnan(refine_threshold):
+            raise ValueError("refine_threshold must not be NaN")
+        return super().__new__(cls, algorithms, refine_threshold, repeat)
+
+    @classmethod
+    def _make(cls, iterable) -> RunConfig:  # so that _replace checks its result too
+        return cls(*iterable)
 
 
 def run_benchmark(

@@ -56,9 +56,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import InconsistentSnapshotsError, SameCommunityError, UnknownVertexError
 from .graph import GraphDelta, Partition, VertexAddition, VertexRemoval, WeightedGraph
@@ -76,8 +76,7 @@ class ChangeKind(enum.Enum):
     VERTEX_DEL = "vertex deletion"
 
 
-@dataclass(frozen=True)
-class InitPlan:
+class InitPlan(NamedTuple):
     """Output of the initialization step.
 
     ``dissolve`` lists community ids to explode into singletons. ``freed``
@@ -98,7 +97,7 @@ class InitPlan:
     dissolve: frozenset[int] = frozenset()
     freed: frozenset[int] = frozenset()
     pair_seeds: frozenset[frozenset[int]] = frozenset()
-    beta_shift: Mapping[int, float] = field(default_factory=dict, hash=False)
+    beta_shift: Mapping[int, float] = MappingProxyType({})  # shared, so read-only
     seeds: frozenset[int] = frozenset()
 
 

@@ -15,11 +15,8 @@ formatting so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
-from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -44,8 +41,7 @@ class EdgeEvent(NamedTuple):
     timestamp: int
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """One step of a snapshot stream.
 
     ``delta`` transforms the previous snapshot (the empty graph for index 0)
@@ -254,8 +250,7 @@ def write_partition_file(assignment, path: PathLike) -> None:
     Path(path).write_text(format_partition(assignment), encoding="utf-8", newline="\n")
 
 
-@dataclass(frozen=True)
-class SnapshotReport:
+class SnapshotReport(NamedTuple):
     """Per-snapshot record of quality and timing for one detector."""
 
     snapshot_index: int
@@ -277,9 +272,14 @@ _REPORT_HEADER = [
 
 
 def format_reports(reports: Iterable[SnapshotReport], fmt: str = "csv") -> str:
-    """Render reports as CSV or JSON text with bit-stable formatting."""
+    """Render reports as CSV or JSON text with bit-stable formatting.
+
+    Each format's encoder is imported here, so a run loads only the one it writes.
+    """
     reports = list(reports)
     if fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_REPORT_HEADER)
@@ -294,7 +294,10 @@ def format_reports(reports: Iterable[SnapshotReport], fmt: str = "csv") -> str:
             ])
         return buffer.getvalue()
     if fmt == "json":
-        return json.dumps([asdict(r) for r in reports], indent=2) + "\n"
+        import json
+
+        fields = SnapshotReport.__match_args__  # the field names, in order
+        return json.dumps([dict(zip(fields, r)) for r in reports], indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 
 

@@ -7,8 +7,7 @@ label-invariant and symmetric. They use the standard library only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import VertexSetMismatchError
 from .graph import Partition
@@ -20,8 +19,7 @@ def _labels(p: Labeling) -> Mapping[int, int]:
     return p.assignment if isinstance(p, Partition) else p
 
 
-@dataclass(frozen=True)
-class ConfusionTable:
+class ConfusionTable(NamedTuple):
     """Joint membership counts between two labelings of the same vertex set."""
 
     counts: dict[tuple[int, int], int]

@@ -25,6 +25,27 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
 
 
+# Run in a fresh interpreter: `dynamo run` over a delta directory into a CSV file,
+# printing the loaded module names when the report writer is entered and at the end.
+LEAN_RUN = """
+import sys
+from dynamo import cli
+
+write_reports = cli.write_reports
+seen = []
+
+def recording(*args, **kwargs):
+    seen.append(",".join(sys.modules))
+    return write_reports(*args, **kwargs)
+
+cli.write_reports = recording
+code = cli.main(["run", "--deltas-dir", sys.argv[1], "--output", sys.argv[2]])
+print(code)
+print(*seen, sep="\\n")
+print(",".join(sys.modules))
+"""
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "dynamo.cli", *args],
@@ -384,6 +405,36 @@ class TestRun:
         assert main(["run", "--input", str(event_file), "--interval", "5",
                      "--repeat", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: repeat must be at least 1")
+
+    def test_nan_refine_threshold_exits_two(self, event_file, capsys):
+        # NaN compares false with every modularity, so it would switch refinement off
+        assert main(["run", "--input", str(event_file), "--interval", "5",
+                     "--refine-threshold", "nan"]) == 2
+        assert capsys.readouterr().err == "error: refine_threshold must not be NaN\n"
+
+    def test_run_loads_only_what_it_uses(self, tmp_path):
+        # neither the generator, the dataclass machinery nor the JSON encoder is on
+        # the run path, and the CSV writer loads only once the report is written
+        source = tmp_path / "scenario"
+        generate(GenConfig(seed=2, num_communities=2, community_size=8, p_in=0.5,
+                           p_out=0.08, num_snapshots=4,
+                           churn=Churn(icea=1, ccea=2, cced=1))).write(source)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+        def loaded(*args) -> list[str]:
+            return subprocess.run([sys.executable, "-c", *args], capture_output=True,
+                                  text=True, timeout=300, check=True, env=env).stdout.splitlines()
+
+        [bare] = loaded("import sys; print(','.join(sys.modules))")
+        out = tmp_path / "r.csv"
+        code, at_write, at_end = loaded(LEAN_RUN, str(source / "deltas"), str(out))
+        assert code == "0" and out.read_text().startswith("snapshot,algorithm,")
+        bare_set = set(bare.split(","))
+        new = set(at_end.split(",")) - bare_set
+        assert "dynamo.harness" in new and "dynamo.louvain" in new
+        assert not new & {"dataclasses", "inspect", "json", "dynamo.synthgen"}, sorted(new)
+        assert "csv" not in set(at_write.split(",")) - bare_set, sorted(new)
+        assert "csv" in new or "csv" in bare_set
 
     def test_stdout_output(self, event_file, capsys):
         assert main(["run", "--input", str(event_file), "--interval", "10",

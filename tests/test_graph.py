@@ -210,6 +210,27 @@ class TestApplyDelta:
             GraphDelta(**kwargs)
         assert str(info.value) == message
 
+    def test_delta_is_an_immutable_value(self):
+        changes = (EdgeChange(0, 1, 1.0), EdgeChange(1, 2, -0.5))
+        d = GraphDelta(frozenset({2}), frozenset({7}), changes)
+        same = GraphDelta(added_vertices=frozenset({2}), removed_vertices=frozenset({7}),
+                          edge_changes=tuple(changes))
+        assert d == same and hash(d) == hash(same) and d is not same
+        assert d != GraphDelta(frozenset({2}), frozenset({7}), changes[:1])
+        assert d != (frozenset({2}), frozenset({7}), changes)
+        assert weakref.ref(d)() is d  # apply_delta records deltas by weak reference
+        with pytest.raises(AttributeError):
+            d.edge_changes = ()
+        with pytest.raises(AttributeError):
+            d.note = "extra"
+        with pytest.raises(AttributeError):
+            del d.added_vertices
+        assert (d.added_vertices, d.removed_vertices, d.edge_changes) == (
+            frozenset({2}), frozenset({7}), changes)
+        assert repr(GraphDelta()) == (
+            "GraphDelta(added_vertices=frozenset(), removed_vertices=frozenset(), "
+            "edge_changes=())")
+
     def test_records_its_predecessor_and_delta_only(self):
         g = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))

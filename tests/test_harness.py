@@ -50,6 +50,36 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(repeat=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(algorithms=()), "select at least one algorithm"),
+        (dict(algorithms=("louvain", "leiden", "x")), "unknown algorithms: ['leiden', 'x']"),
+        (dict(repeat=0), "repeat must be at least 1"),
+        (dict(repeat="2"), "repeat must be an int, got '2'"),
+    ])
+    def test_check_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            RunConfig(**kwargs)
+        assert str(info.value) == message
+
+    def test_defaults_compare_as_a_tuple(self):
+        assert RunConfig() == (("louvain", "dynamo"), -1.0, 1)
+        assert RunConfig(repeat=3, algorithms=("dynamo",)) == (("dynamo",), -1.0, 3)
+
+    def test_replace_checks_its_result(self):
+        assert RunConfig()._replace(repeat=2) == RunConfig(repeat=2)
+        with pytest.raises(ValueError, match="^repeat must be at least 1$"):
+            RunConfig()._replace(repeat=0)
+
+    def test_rejects_nan_refine_threshold(self):
+        # NaN compares false with every modularity, so it would switch refinement off
+        with pytest.raises(ValueError, match="^refine_threshold must not be NaN$"):
+            RunConfig(refine_threshold=float("nan"))
+
+    def test_rejects_non_integer_repeat(self, scenario):
+        # refused when configured, not as a TypeError from the timing loop
+        with pytest.raises(ValueError, match=r"^repeat must be an int, got 1\.5$"):
+            run_benchmark(scenario.snapshots[:2], RunConfig(repeat=1.5))
+
 
 class TestRunBenchmark:
     def test_louvain_only_rows(self, scenario):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -216,7 +214,7 @@ def _report(i, algorithm="louvain", nmi=None, ari=None):
 
 def _unscored(i):
     """A zero-weight snapshot's row: it has no modularity."""
-    return replace(_report(i, "dynamo", nmi=1.0, ari=1.0), modularity=None)
+    return _report(i, "dynamo", nmi=1.0, ari=1.0)._replace(modularity=None)
 
 
 class TestReports:
