@@ -11,6 +11,8 @@ from dynamo import (
     ParseError,
     SelfLoopError,
     SnapshotReport,
+    VertexAddition,
+    VertexRemoval,
     parse_delta_file,
     parse_edge_events,
     read_partition_file,
@@ -188,6 +190,50 @@ class TestDeltaFiles:
     def test_load_empty_dir(self, tmp_path):
         with pytest.raises(EmptyStreamError):
             load_delta_dir(tmp_path)
+
+
+class TestDeltaContract:
+    """What a delta offers its readers, however it was built and whatever it stores."""
+
+    TEXT = "EW 2000 5 -0.75\nAV 1000\nEW 1000 2000 2.5\nDV 3000\nEW 5 1000 0.125\nAV 5\n"
+    TRIPLES = ((2000, 5, -0.75), (1000, 2000, 2.5), (5, 1000, 0.125))
+
+    def parsed(self, tmp_path) -> GraphDelta:
+        path = tmp_path / "d.delta"
+        path.write_text(self.TEXT)
+        return parse_delta_file(path)
+
+    def test_equal_and_hashed_alike_however_built(self, tmp_path):
+        parsed = self.parsed(tmp_path)
+        built = GraphDelta(frozenset({5, 1000}), frozenset({3000}),
+                           tuple(EdgeChange(*t) for t in self.TRIPLES))
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed != GraphDelta(frozenset({5, 1000}), frozenset({3000}),
+                                    tuple(EdgeChange(*t) for t in reversed(self.TRIPLES)))
+
+    def test_edge_changes_are_records_in_file_order(self, tmp_path):
+        changes = self.parsed(tmp_path).edge_changes
+        assert type(changes) is tuple
+        assert all(type(ec) is EdgeChange for ec in changes)
+        assert changes == tuple(EdgeChange(*t) for t in self.TRIPLES)
+        assert [ec.delta_w for ec in changes] == [-0.75, 2.5, 0.125]
+
+    def test_changes_order(self, tmp_path):
+        assert list(self.parsed(tmp_path).changes()) == [
+            VertexAddition(5), VertexAddition(1000), VertexRemoval(3000),
+            *(EdgeChange(*t) for t in self.TRIPLES)]
+
+    def test_repr_text(self, tmp_path):
+        path = tmp_path / "d.delta"
+        path.write_text("AV 1000\nDV 7\nEW 1000 7 -0.5\nEW 7 3 2.0\n")
+        assert repr(parse_delta_file(path)) == (
+            "GraphDelta(added_vertices=frozenset({1000}), removed_vertices=frozenset({7}), "
+            "edge_changes=(EdgeChange(u=1000, v=7, delta_w=-0.5), "
+            "EdgeChange(u=7, v=3, delta_w=2.0)))")
+
+    def test_format_delta_bytes(self, tmp_path):
+        assert format_delta(self.parsed(tmp_path)) == (
+            "AV 5\nAV 1000\nDV 3000\nEW 2000 5 -0.75\nEW 1000 2000 2.5\nEW 5 1000 0.125\n")
 
 
 class TestPartitionFiles:

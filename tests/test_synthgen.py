@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dynamo import (
@@ -57,6 +59,19 @@ class TestGenerate:
         assert a.event_text == b.event_text
         assert a.delta_texts == b.delta_texts
         assert a.truth_texts == b.truth_texts
+
+    @pytest.mark.parametrize("cfg, deltas, events", [
+        (SMALL, "8b3ce2c5ee8dcf82a88f89d44acccf6868a100ab9e561d8680b1eeef3a50c201",
+         "486393b2f9dba3539cbce3153c6e5ad4b0c23777158e165771d086cff64fc885"),
+        (GenConfig(seed=9, num_communities=3, community_size=6, p_in=0.5, p_out=0.03,
+                   num_snapshots=5, churn=Churn(icea=2, ccea=2, vertex_add=1)),
+         "7c3040b76678df6499e57d0c64e7a697c90e3fbbc02db647aa148f3da77e2124",
+         "33e7a24ca406ecbbe92646546009c4df29edf8ecc489fd119da212a8c9ce8a45"),
+    ])
+    def test_texts_match_golden_hashes(self, cfg, deltas, events):
+        scenario = generate(cfg)
+        assert hashlib.sha256("".join(scenario.delta_texts).encode()).hexdigest() == deltas
+        assert hashlib.sha256(scenario.event_text.encode()).hexdigest() == events
 
     def test_different_seeds_differ(self):
         import dataclasses
