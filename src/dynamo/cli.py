@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .errors import DynamoError, InfeasibleChurnError
-from .graph import EdgeChange, GraphDelta, WeightedGraph, apply_delta
+from .graph import GraphDelta, WeightedGraph, apply_delta
 from .harness import ALGORITHMS, RunConfig, run_benchmark
 from .ingest import (
     format_partition,
@@ -152,7 +152,7 @@ def _handed_over(items: list) -> Iterator:
 def _cmd_detect(args) -> int:
     events = parse_edge_events(args.input)
     vertices = frozenset(v for e in events for v in (e.u, e.v))
-    changes = tuple(EdgeChange(e.u, e.v, e.weight) for e in events)
+    changes = (e[:3] for e in events)  # (u, v, weight): the timestamp is dropped
     graph = apply_delta(WeightedGraph.empty(), GraphDelta(vertices, frozenset(), changes))
     labels = louvain(graph).relabeled()  # communities 0..k-1 by smallest member
     if args.output == "-":

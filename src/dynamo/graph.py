@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
@@ -187,6 +188,13 @@ Change = Union[VertexAddition, VertexRemoval, EdgeChange]
 class GraphDelta:
     """One snapshot's batch of changes.
 
+    The vertex sets may be any iterables of ids, and the edge changes any
+    iterable of ``(u, v, delta_w)`` triples. The delta keeps its own copies:
+    two frozensets (a frozenset is kept as given) and one flat tuple
+    ``(u0, v0, dw0, u1, ...)`` that shares the callers' ints and floats.
+    ``edge_changes`` builds the :class:`EdgeChange` records from it anew on
+    each access, in O(k).
+
     ``edge_changes`` preserves input (file) order, which downstream batch
     processing relies on. A removed vertex implies deletion of all its incident
     edges at apply time; those implicit deletions need not be listed.
@@ -196,22 +204,40 @@ class GraphDelta:
     reference.
     """
 
-    __slots__ = ("added_vertices", "removed_vertices", "edge_changes", "__weakref__")
+    __slots__ = ("added_vertices", "removed_vertices", "_flat", "__weakref__")
 
-    def __init__(self, added_vertices: frozenset[int] = frozenset(),
-                 removed_vertices: frozenset[int] = frozenset(),
-                 edge_changes: tuple[EdgeChange, ...] = ()):
-        overlap = added_vertices & removed_vertices
+    def __init__(self, added_vertices: Iterable[int] = frozenset(),
+                 removed_vertices: Iterable[int] = frozenset(),
+                 edge_changes: Iterable[tuple[int, int, float]] = ()):
+        added = frozenset(added_vertices)  # a frozenset comes back as itself, not a copy
+        removed = frozenset(removed_vertices)
+        overlap = added & removed
         if overlap:
             raise ValueError(f"vertices both added and removed: {sorted(overlap)}")
-        for ec in edge_changes:
-            if ec.delta_w == 0.0 or not math.isfinite(ec.delta_w):
-                raise ValueError(f"zero or non-finite edge change {ec.delta_w} "
-                                 f"on ({ec.u},{ec.v})")
+        items: list = []
+        for u, v, dw in edge_changes:  # unpacking refuses an element that is not a triple
+            items += u, v, dw
+        flat = tuple(items)
+        weights = flat[2::3]
+        # all() finds a zero and sum() a NaN or an infinity, each in one pass over
+        # the weight column; only then is the first culprit looked for. Finite
+        # weights that sum past the largest float send the search on, to find none.
+        if not all(weights) or not -_INF < sum(weights) < _INF:
+            for i, dw in enumerate(weights):
+                if dw == 0.0 or not math.isfinite(dw):
+                    raise ValueError(f"zero or non-finite edge change {dw} "
+                                     f"on ({flat[3 * i]},{flat[3 * i + 1]})")
         fill = object.__setattr__
-        fill(self, "added_vertices", added_vertices)
-        fill(self, "removed_vertices", removed_vertices)
-        fill(self, "edge_changes", edge_changes)
+        fill(self, "added_vertices", added)
+        fill(self, "removed_vertices", removed)
+        fill(self, "_flat", flat)
+
+    @property
+    def edge_changes(self) -> tuple[EdgeChange, ...]:
+        """The edge changes as records, in input order; built anew on each access."""
+        it = iter(self._flat)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return tuple(map(tuple.__new__, repeat(EdgeChange), zip(it, it, it)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable GraphDelta")
@@ -220,7 +246,7 @@ class GraphDelta:
         raise AttributeError(f"cannot delete field {name!r} of an immutable GraphDelta")
 
     def _key(self) -> tuple:
-        return self.added_vertices, self.removed_vertices, self.edge_changes
+        return self.added_vertices, self.removed_vertices, self._flat
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -247,7 +273,8 @@ class GraphDelta:
 def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
     """Apply one snapshot delta, returning the next snapshot.
 
-    Processing order: vertex additions, edge changes (in stored order), vertex
+    Processing order: vertex additions, edge changes (in stored order, read
+    from the delta's flat tuple without building a record per change), vertex
     removals. Removing a vertex drops all its incident edges. A decrease that
     would push a weight below zero raises :class:`NegativeWeightError`; a
     decrease reaching exactly zero deletes the edge. A weight, a strength or
@@ -272,7 +299,8 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
             raise DuplicateVertexError(f"vertex {v} already exists")
         adj[v] = own[v] = {}
 
-    for u, v, dw in d.edge_changes:
+    it = iter(d._flat)
+    for u, v, dw in zip(it, it, it):
         row_u = own.get(u)
         row_v = own.get(v)
         if row_u is None or row_v is None or u == v:  # a row's first touch, or a self-loop

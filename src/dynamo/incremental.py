@@ -199,7 +199,8 @@ def init(
         beta_shift[c] = beta_shift.get(c, 0.0) + dw
 
     removed = d.removed_vertices
-    ends = {x for ec in d.edge_changes for x in (ec.u, ec.v)}
+    changes = d.edge_changes  # built on each access: read once
+    ends = {x for u, v, _ in changes for x in (u, v)}
     seeds = ends | d.added_vertices  # removed vertices are taken out last
     for k in sorted(removed):
         nbrs = g_t.neighbors(k)
@@ -215,7 +216,7 @@ def init(
             if l not in d.added_vertices:
                 shift(p_t.community_of(l), w)
 
-    for change in d.edge_changes:
+    for change in changes:
         kind = classify(g_t, p_t, change, d)
         u, v, dw = change
         if kind is ChangeKind.VERTEX_DEL or kind is ChangeKind.VERTEX_ADD:

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
-from .graph import EdgeChange, GraphDelta
+from .graph import GraphDelta
 
 PathLike = Union[str, Path]
 
@@ -146,13 +146,14 @@ def slice_snapshots(
                 known.add(v)
                 added.append(v)
             key = (u, v) if u < v else (v, u)
-            weight_sums[key] = weight_sums.get(key, 0.0) + w
+            # a pair's first weight is kept, not copied by adding it to 0.0
+            weight_sums[key] = weight_sums[key] + w if key in weight_sums else w
         if _INF in weight_sums.values():  # finite positive weights that overflow
             u, v = next(key for key, w in weight_sums.items() if w == _INF)
             raise NegativeWeightError(
                 f"weights on ({u},{v}) sum past the largest float in snapshot {k}")
-        changes = tuple([_new(EdgeChange, (u, v, w)) for (u, v), w in weight_sums.items()])
-        snapshots.append(Snapshot(k, GraphDelta(frozenset(added), frozenset(), changes)))
+        changes = [(u, v, w) for (u, v), w in weight_sums.items()]
+        snapshots.append(Snapshot(k, GraphDelta(added, frozenset(), changes)))
     return snapshots
 
 
@@ -164,8 +165,8 @@ def parse_delta_file(path: PathLike) -> GraphDelta:
     """
     added: set[int] = set()
     removed: set[int] = set()
-    changes: list[EdgeChange] = []
-    append = changes.append
+    flat: list = []  # u0, v0, dw0, u1, ...: no tuple per change
+    extend = flat.extend
     ids = _Ids()
     dw_text = None
     for lineno, line in _lines(path):
@@ -182,7 +183,7 @@ def parse_delta_file(path: PathLike) -> GraphDelta:
                 u, v = ids[fields[1]], ids[fields[2]]
                 if u == v:
                     raise SelfLoopError(f"{path}:{lineno}: self-loop on vertex {u}")
-                append(_new(EdgeChange, (u, v, dw)))
+                extend((u, v, dw))
             elif fields[0] == "AV" and len(fields) == 2:
                 added.add(ids[fields[1]])
             elif fields[0] == "DV" and len(fields) == 2:
@@ -196,7 +197,8 @@ def parse_delta_file(path: PathLike) -> GraphDelta:
         raise ConflictingDeltaError(
             f"{path}: vertices both added and deleted: {sorted(conflict)}"
         )
-    return GraphDelta(frozenset(added), frozenset(removed), tuple(changes))
+    it = iter(flat)
+    return GraphDelta(added, removed, zip(it, it, it))
 
 
 def format_delta(delta: GraphDelta) -> str:

@@ -56,9 +56,12 @@ def compress(g: WeightedGraph, p: Partition) -> WeightedGraph:
     return edit.finish(p)
 
 
-def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) -> Partition:
+def local_moving_pass(g, p: Optional[Partition] = None,
+                      seeds: Optional[Iterable[int]] = None) -> Partition:
     """One local optimization phase driven by a FIFO queue of vertices.
 
+    The phase starts from ``p``, or by default from every vertex in its own
+    community, named by its id, as :meth:`Partition.singletons` would have it.
     The queue starts with ``seeds`` (all vertices by default) in ascending id
     order. Each popped vertex moves to the neighboring community with the
     largest modularity gain when that gain exceeds :data:`EPSILON`, and stays
@@ -66,7 +69,8 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
     to community ``b`` appends, in ascending id order, each neighbor outside
     ``b`` that is not queued already. The phase ends when the queue is empty.
     Emptied communities are dropped, and a community that no vertex left or
-    joined keeps ``p``'s member set. The result records ``g`` when ``p`` covers it.
+    joined keeps ``p``'s member set. The result records ``g`` when ``p`` covers
+    it, and always when it starts from singletons.
     """
     m = g.total_weight
     if m <= 0.0:
@@ -74,18 +78,25 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
     two_m = 2.0 * m
     min_gain = EPSILON * m  # gains below are tracked scaled by m
 
-    assign = dict(p.assignment)
-    alpha = {c: p.alpha(c) for c in p.community_ids}
-    beta = {c: p.beta(c) for c in p.community_ids}
-    size = {c: len(p.members(c)) for c in p.community_ids}
+    neighbors_of = g.neighbors
+    strength_of = g.strength
+    self_of = g.self_weight
+
+    if p is None:
+        vertices = g.vertices
+        assign = dict(zip(vertices, vertices))
+        alpha = {v: self_of(v) for v in vertices}
+        beta = {v: strength_of(v) for v in vertices}
+        size = dict.fromkeys(vertices, 1)
+    else:
+        assign = dict(p.assignment)
+        alpha = {c: p.alpha(c) for c in p.community_ids}
+        beta = {c: p.beta(c) for c in p.community_ids}
+        size = {c: len(p.members(c)) for c in p.community_ids}
 
     queued = set(g.vertices if seeds is None else seeds)
     queue = deque(sorted(queued))
     moved: set[int] = set()
-
-    neighbors_of = g.neighbors
-    strength_of = g.strength
-    self_of = g.self_weight
 
     while queue:
         v = queue.popleft()
@@ -130,6 +141,12 @@ def local_moving_pass(g, p: Partition, seeds: Optional[Iterable[int]] = None) ->
         queue.extend(requeue)
         queued.update(requeue)
 
+    if p is None:
+        groups: dict[int, list[int]] = {}
+        for v, c in assign.items():
+            groups.setdefault(c, []).append(v)
+        members = {c: frozenset(groups[c]) for c in size}
+        return Partition(assign, members, alpha, beta, cover=g)
     members = {c: p.members(c) for c in size}
     lost: dict[int, list[int]] = {}
     gained: dict[int, list[int]] = {}
@@ -156,6 +173,9 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
             seeds: Optional[Iterable[int]] = None) -> Partition:
     """Full Louvain optimization from ``initial`` (all singletons by default).
 
+    Without ``initial``, every level starts as :func:`local_moving_pass` does
+    by default, so no singleton partition is built.
+
     Alternates local moving and aggregation until a level moves nothing, then
     unfolds the hierarchy back to the original vertices. The returned
     partition's modularity never falls below the initial one, it carries its
@@ -180,9 +200,7 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
     if g.total_weight <= 0.0:
         raise EmptyGraphError("detection undefined for graphs with zero total weight")
 
-    if initial is None:
-        initial = Partition.singletons(g)
-    elif not initial.covers(g):
+    if initial is not None and not initial.covers(g):
         raise UnknownVertexError("initial partition does not cover the graph")
     if seeds is not None:
         seeds = set(seeds)
@@ -197,7 +215,7 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
     while level_p.num_communities < level_graph.num_vertices:
         carried = level_p.community_graph
         level_graph = compress(level_graph, level_p) if carried is None else carried
-        level_p = local_moving_pass(level_graph, Partition.singletons(level_graph))
+        level_p = local_moving_pass(level_graph)
         moves = {x: c for x, c in level_p.assignment.items() if x != c}
         merged = {c: moves.get(x, x) for c, x in merged.items()} | {
             x: c for x, c in moves.items() if x not in merged}

@@ -231,6 +231,27 @@ class TestApplyDelta:
             "GraphDelta(added_vertices=frozenset(), removed_vertices=frozenset(), "
             "edge_changes=())")
 
+    def test_delta_keeps_its_own_copies(self):
+        added, removed = {2}, [7]
+        changes = [EdgeChange(0, 1, 1.0), (1, 2, -0.5)]
+        d = GraphDelta(added, removed, changes)
+        same = GraphDelta(frozenset({2}), frozenset({7}),
+                          (EdgeChange(0, 1, 1.0), EdgeChange(1, 2, -0.5)))
+        assert d == same and hash(d) == hash(same)
+        added.add(3)
+        removed.append(9)
+        changes.append(EdgeChange(2, 3, 0.25))
+        assert d == same and hash(d) == hash(same)
+        assert d.edge_changes == (EdgeChange(0, 1, 1.0), EdgeChange(1, 2, -0.5))
+        assert type(d.added_vertices) is frozenset and type(d.removed_vertices) is frozenset
+        frozen = frozenset({4})
+        assert GraphDelta(frozen).added_vertices is frozen  # a frozenset is kept as given
+
+    @pytest.mark.parametrize("changes", [[(0, 1)], [(0, 1, 1.0, 2)], [(0, 1), (2, 3, 1.0, 4)]])
+    def test_edge_changes_must_be_triples(self, changes):
+        with pytest.raises(ValueError):
+            GraphDelta(edge_changes=changes)
+
     def test_records_its_predecessor_and_delta_only(self):
         g = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))

@@ -531,6 +531,26 @@ class TestSnapshotRecord:
         with pytest.raises(UnknownVertexError, match="partition does not cover the old snapshot"):
             intermediate_partition(g1, partition_of(other, [{0, 1, 2}, {3, 4, 5}]), InitPlan(), d)
 
+    def test_delta_built_from_mutable_containers_keeps_what_was_applied(self):
+        # two triangles joined by (2, 3); the caller's list and set change after
+        # apply_delta recorded the step, which must not change the delta
+        g = graph_of(TRIANGLES + [(2, 3, 1.0)])
+        p = louvain(g)
+        changes = [EdgeChange(0, 1, 1.0)]
+        d = GraphDelta(edge_changes=changes)
+        g1 = apply_delta(g, d)
+        changes.append(EdgeChange(2, 3, 0.25))
+        p1 = dynamo_update(g1, g, p, d)
+        assert modularity(g1, p1) == pytest.approx(modularity_pairwise(g1, p1.assignment),
+                                                   abs=1e-12)
+        assert_exact_aggregates(g1, p1)
+
+        added = {6}
+        d = GraphDelta(added, (), [(6, 0, 1.0)])
+        g2 = apply_delta(g1, d)
+        added.add(7)
+        assert_exact_aggregates(g2, dynamo_update(g2, g1, p1, d))
+
     def test_dead_record_is_refused(self):
         g, p = two_triangles()
         d = GraphDelta(edge_changes=(EdgeChange(0, 1, 1.0),))

@@ -208,6 +208,8 @@ class TestDeltaContract:
         built = GraphDelta(frozenset({5, 1000}), frozenset({3000}),
                            tuple(EdgeChange(*t) for t in self.TRIPLES))
         assert parsed == built and hash(parsed) == hash(built)
+        triples = GraphDelta([1000, 5], {3000}, iter(self.TRIPLES))
+        assert parsed == triples and hash(parsed) == hash(triples)
         assert parsed != GraphDelta(frozenset({5, 1000}), frozenset({3000}),
                                     tuple(EdgeChange(*t) for t in reversed(self.TRIPLES)))
 

@@ -5,9 +5,11 @@ import pytest
 
 from dynamo import (
     EmptyGraphError,
+    GraphDelta,
     Partition,
     UnknownVertexError,
     WeightedGraph,
+    apply_delta,
     compress,
     local_moving_pass,
     louvain,
@@ -71,6 +73,41 @@ class TestLocalMovingPass:
             for c in p.community_ids:
                 assert p.alpha(c) == pytest.approx(rebuilt.alpha(c), abs=1e-9)
                 assert p.beta(c) == pytest.approx(rebuilt.beta(c), abs=1e-9)
+
+
+    def test_default_start_equals_the_singleton_partition(self):
+        # the default start builds no member sets, yet must give what starting
+        # from Partition.singletons gives: the same assignment and member sets,
+        # aggregates bit for bit, and the community order modularity sums in
+        rng = random.Random(41)
+        graphs = []
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(2, 40), rng.uniform(0.05, 0.5))
+            if g.total_weight > 0:
+                # compress carries alpha as self weights
+                graphs += [g, compress(g, local_moving_pass(g, Partition.singletons(g)))]
+        # vertex 0 re-added last, so vertex order is not id order
+        g = graphs[0]
+        g = apply_delta(apply_delta(g, GraphDelta(removed_vertices={0})),
+                        GraphDelta({0}, (), [(0, 1, 1.5), (0, 2, 0.5)]))
+        graphs.append(g)
+        for g in graphs:
+            vertices = sorted(g.vertices)
+            for seeds in (None, (), vertices[::2], rng.sample(vertices, len(vertices) // 3)):
+                ours = local_moving_pass(g, seeds=seeds)
+                theirs = local_moving_pass(g, Partition.singletons(g), seeds)
+                assert list(ours.assignment.items()) == list(theirs.assignment.items())
+                assert list(ours.community_ids) == list(theirs.community_ids)
+                for c in ours.community_ids:
+                    assert ours.members(c) == theirs.members(c)
+                    assert ours.alpha(c).hex() == theirs.alpha(c).hex()
+                    assert ours.beta(c).hex() == theirs.beta(c).hex()
+                assert ours.covers(g)
+                assert modularity(g, ours).hex() == modularity(g, theirs).hex()
+            ours, theirs = louvain(g), louvain(g, Partition.singletons(g))
+            assert list(ours.assignment.items()) == list(theirs.assignment.items())
+            assert [(c, ours.alpha(c).hex(), ours.beta(c).hex()) for c in ours.community_ids] == [
+                (c, theirs.alpha(c).hex(), theirs.beta(c).hex()) for c in theirs.community_ids]
 
 
 class TestCompress:
