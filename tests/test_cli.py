@@ -149,6 +149,12 @@ class TestMetrics:
         assert main(["metrics", str(a), str(b)]) == 1
         assert capsys.readouterr().err == f"error: {a}:3: vertex 0 listed twice\n"
 
+    def test_three_field_line_exits_one(self, tmp_path, capsys):
+        a = tmp_path / "a.tsv"
+        a.write_text("0\t0\n1\t0\t7\n")
+        assert main(["metrics", str(a), str(a)]) == 1
+        assert capsys.readouterr().err == f"error: {a}:2: expected 2 fields, got 3\n"
+
 
 @pytest.mark.parametrize("command", [["run", "--deltas-dir", "{dir}"],
                                      ["run", "--input", "{file}", "--interval", "1"],
@@ -228,6 +234,14 @@ class TestGenerate:
                      "--p-in", "0.9", "--p-out", "0.05", "--snapshots", "3",
                      "--vertex-del", "5"])
         assert code == 2
+
+    def test_exhausted_pairs_exit_two(self, tmp_path, capsys):
+        code = main(["generate", "--out-dir", str(tmp_path / "x"),
+                     "--communities", "2", "--community-size", "3",
+                     "--p-in", "0.9", "--p-out", "0.05", "--snapshots", "2",
+                     "--icea", "0", "--ccea", "10", "--cced", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: could not draw an untouched vertex pair\n"
 
     def test_undetectable_config_exits_two(self, tmp_path):
         code = main(["generate", "--out-dir", str(tmp_path / "x"),
@@ -398,6 +412,9 @@ class TestRun:
         assert capsys.readouterr().err == one_input
         assert main(["run", "--deltas-dir", str(tmp_path), "--t0", "3"]) == 2
         assert capsys.readouterr().err == "error: --t0 only applies to event-file input\n"
+        assert main(["run", "--deltas-dir", str(tmp_path), "--interval", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --interval only applies to event-file input\n")
         # RunConfig's own checks surface as usage errors too
         assert main(["run", "--input", str(event_file), "--interval", "5",
                      "--algorithms", "bogus"]) == 2

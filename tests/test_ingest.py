@@ -302,6 +302,11 @@ class TestReports:
         with pytest.raises(ParseError, match=rf"r\.{fmt}: not UTF-8 text"):
             read_reports(path, fmt=fmt)
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError) as info:
+            format_reports([_report(0)], "xml")
+        assert str(info.value) == "unknown report format 'xml'"
+
     def test_bit_stable(self):
         reports = [_report(0), _report(1, "dynamo", nmi=0.9, ari=0.8)]
         assert format_reports(reports) == format_reports(list(reports))

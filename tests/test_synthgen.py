@@ -1,10 +1,13 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
 from dynamo import (
+    ChangeKind,
     GraphDelta,
     InfeasibleChurnError,
+    VertexAddition,
     apply_delta,
     classify,
     louvain,
@@ -19,6 +22,15 @@ from helpers import snapshot_graphs
 SMALL = GenConfig(seed=5, num_communities=3, community_size=8, p_in=0.5, p_out=0.03,
                   num_snapshots=5,
                   churn=Churn(icea=1, ccea=2, iced=1, cced=1, vertex_add=1, vertex_del=1))
+
+# Several draws of every kind per delta, so a candidate pool whose contents or
+# order drift after its first draw changes the texts.
+POOLS = GenConfig(seed=11, num_communities=4, community_size=12, p_in=0.5, p_out=0.05,
+                  num_snapshots=6, weight_range=(1.0, 3.0),
+                  churn=Churn(icea=3, ccea=4, iced=3, cced=4, vertex_add=2, vertex_del=3))
+
+# Two blocks of three vertices: few pairs and edges, so each churn kind runs out.
+TINY = dict(num_communities=2, community_size=3, p_in=0.9, p_out=0.05, num_snapshots=2)
 
 
 class TestGenConfig:
@@ -73,6 +85,33 @@ class TestGenerate:
         assert hashlib.sha256("".join(scenario.delta_texts).encode()).hexdigest() == deltas
         assert hashlib.sha256(scenario.event_text.encode()).hexdigest() == events
 
+    def test_pool_draws_match_golden_hashes(self):
+        scenario = generate(POOLS)
+        for labels in scenario.labeled_changes[1:]:
+            kinds = Counter(kind for change, kind in labels)
+            assert min(kinds[k] for k in (ChangeKind.ICEA_WI, ChangeKind.CCEA_WI,
+                                          ChangeKind.ICED_WD, ChangeKind.CCED_WD)) >= 3
+            assert kinds[ChangeKind.VERTEX_DEL] >= 3
+            assert sum(isinstance(c, VertexAddition) for c, kind in labels) >= 2
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest("".join(scenario.delta_texts)) == (
+            "2a0c094270ae3e7545662ff40e69d9800d1e5c2cd7b7e07d034eeb6b3ebd80f8")
+        assert digest(scenario.event_text) == (
+            "dd793429223c6bc64a2c81e9dc3782343de83dd01c62e072d34b6df33a946a10")
+        assert digest("".join(scenario.truth_texts)) == (
+            "69c9afdaf40b3211c0eef2a913840ee0a451091c700b9dd1aa372ea2d7f43e05")
+
+    def test_newcomer_without_a_drawn_edge_gets_one_block_mate(self):
+        # vertex 6 joins block 1 (vertices 3-5) and its random wiring draws no edge
+        cfg = GenConfig(seed=0, num_communities=2, community_size=3, p_in=0.4, p_out=0.02,
+                        num_snapshots=2, churn=Churn(vertex_add=1))
+        scenario = generate(cfg)
+        assert scenario.delta_texts[1] == "AV 6\nEW 4 6 1.0\n"
+        assert scenario.ground_truth[1].assignment[6] == scenario.ground_truth[1].assignment[4]
+
     def test_different_seeds_differ(self):
         import dataclasses
         a = generate(SMALL)
@@ -115,6 +154,20 @@ class TestGenerate:
                         churn=Churn(vertex_del=5))
         with pytest.raises(InfeasibleChurnError):
             generate(cfg)
+
+    @pytest.mark.parametrize("seed, churn, message", [
+        (2, Churn(vertex_del=6), "vertex deletions would empty the graph"),
+        (2, Churn(icea=1, vertex_del=4), "no block has two vertices left"),
+        (26, Churn(ccea=1, vertex_del=3), "fewer than two blocks left"),
+        (1, Churn(icea=7), "could not draw an untouched vertex pair"),
+        (1, Churn(ccea=10), "could not draw an untouched vertex pair"),
+        (1, Churn(iced=7), "no intra-community edge left to decrease"),
+        (1, Churn(cced=10), "no cross-community edge left to decrease"),
+    ])
+    def test_exhausted_churn_messages(self, seed, churn, message):
+        with pytest.raises(InfeasibleChurnError) as info:
+            generate(GenConfig(seed=seed, churn=churn, **TINY))
+        assert str(info.value) == message
 
     def test_addition_only_round_trips_through_slicing(self, tmp_path):
         cfg = GenConfig(seed=9, num_communities=3, community_size=6, p_in=0.5,
