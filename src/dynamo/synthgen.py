@@ -131,11 +131,7 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
     next_vertex = cfg.num_communities * cfg.community_size
 
     base_edges = _planted_edges(rng, membership, cfg)
-    delta0 = GraphDelta(
-        frozenset(membership),
-        frozenset(),
-        tuple(EdgeChange(u, v, w) for (u, v), w in base_edges.items()),
-    )
+    delta0 = GraphDelta(membership, (), ((u, v, w) for (u, v), w in base_edges.items()))
     graph = apply_delta(WeightedGraph.empty(), delta0)
     if graph.total_weight <= 0.0:
         raise InfeasibleChurnError("initial snapshot has no edges")
@@ -208,24 +204,31 @@ def _draw_delta(
     churn = cfg.churn
     labels: list[tuple[Change, ChangeKind]] = []
 
-    # vertex deletions first: their endpoints are off limits for edge churn
+    # Each candidate pool is built once, sorted, and a draw deletes its pick by
+    # position: the pool stays exactly the list a rebuild would give, so a seed
+    # keeps its stream. A swap-remove would reorder it and change later picks.
+    # Vertex deletions come first: their endpoints are off limits for edge churn.
+    alive = sorted(graph.vertices)
     removed: list[int] = []
     if churn.vertex_del:
         articulation = _articulation_points(graph)
+        preferred = [v for v in alive if v not in articulation]
         for _ in range(churn.vertex_del):
-            pool = sorted(set(graph.vertices) - set(removed))
-            if len(pool) <= 1:
+            if len(alive) <= 1:
                 raise InfeasibleChurnError("vertex deletions would empty the graph")
-            preferred = [v for v in pool if v not in articulation]
-            choice = (preferred or pool)[rng.randrange(len(preferred or pool))]
+            choice = (preferred or alive)[rng.randrange(len(preferred or alive))]
+            alive.remove(choice)
+            if choice not in articulation:
+                preferred.remove(choice)
             removed.append(choice)
             labels.append((VertexRemoval(choice), ChangeKind.VERTEX_DEL))
 
     blocked = set(removed)
-    alive = sorted(v for v in graph.vertices if v not in blocked)
     by_block: dict[int, list[int]] = {}
     for v in alive:
         by_block.setdefault(membership[v], []).append(v)
+    # by_block is fixed until the delta is drawn, and none of its lists is empty
+    blocks = sorted(by_block)
 
     added: list[int] = []
     edge_changes: list[EdgeChange] = []
@@ -244,10 +247,9 @@ def _draw_delta(
     for _ in range(churn.vertex_add):
         k = next_vertex
         next_vertex += 1
-        candidate_blocks = sorted(b for b, vs in by_block.items() if vs)
-        if not candidate_blocks:
+        if not blocks:
             raise InfeasibleChurnError("no surviving block to attach a new vertex to")
-        block = candidate_blocks[rng.randrange(len(candidate_blocks))]
+        block = blocks[rng.randrange(len(blocks))]
         incident: list[EdgeChange] = []
         for v in alive:
             p = cfg.p_in if membership[v] == block else cfg.p_out
@@ -263,51 +265,48 @@ def _draw_delta(
             record(ec, ChangeKind.VERTEX_ADD)
         new_members[k] = block
 
-    def draw_pair(same_block: bool) -> tuple[int, int]:
-        for _ in range(_MAX_DRAWS):
-            if same_block:
-                blocks = sorted(b for b, vs in by_block.items() if len(vs) >= 2)
-                if not blocks:
-                    raise InfeasibleChurnError("no block has two vertices left")
-                vs = by_block[blocks[rng.randrange(len(blocks))]]
-                u, v = rng.sample(vs, 2)
+    for count, same_block, kind in ((churn.icea, True, ChangeKind.ICEA_WI),
+                                    (churn.ccea, False, ChangeKind.CCEA_WI)):
+        pair_blocks = [b for b in blocks if len(by_block[b]) >= 2] if same_block else blocks
+        for _ in range(count):
+            for _ in range(_MAX_DRAWS):
+                if same_block:
+                    if not pair_blocks:
+                        raise InfeasibleChurnError("no block has two vertices left")
+                    vs = by_block[pair_blocks[rng.randrange(len(pair_blocks))]]
+                    u, v = rng.sample(vs, 2)
+                else:
+                    if len(pair_blocks) < 2:
+                        raise InfeasibleChurnError("fewer than two blocks left")
+                    b1, b2 = rng.sample(pair_blocks, 2)
+                    u = by_block[b1][rng.randrange(len(by_block[b1]))]
+                    v = by_block[b2][rng.randrange(len(by_block[b2]))]
+                if norm(u, v) not in touched:
+                    break
             else:
-                blocks = sorted(b for b, vs in by_block.items() if vs)
-                if len(blocks) < 2:
-                    raise InfeasibleChurnError("fewer than two blocks left")
-                b1, b2 = rng.sample(blocks, 2)
-                u = by_block[b1][rng.randrange(len(by_block[b1]))]
-                v = by_block[b2][rng.randrange(len(by_block[b2]))]
-            if norm(u, v) not in touched:
-                return u, v
-        raise InfeasibleChurnError("could not draw an untouched vertex pair")
-
-    def draw_existing_edge(same_block: bool) -> tuple[int, int, float]:
+                raise InfeasibleChurnError("could not draw an untouched vertex pair")
+            record(EdgeChange(*norm(u, v), rng.uniform(lo, hi)), kind)
+    for count, same_block, kind in ((churn.iced, True, ChangeKind.ICED_WD),
+                                    (churn.cced, False, ChangeKind.CCED_WD)):
+        if not count:
+            continue
+        # built after every increase and newcomer edge is recorded in touched
         candidates = [
             (u, v, w) for u, v, w in graph.edges()
             if u not in blocked and v not in blocked
             and (membership[u] == membership[v]) == same_block
-            and norm(u, v) not in touched
+            and (u, v) not in touched
         ]
-        if not candidates:
-            kind = "intra" if same_block else "cross"
-            raise InfeasibleChurnError(f"no {kind}-community edge left to decrease")
-        return candidates[rng.randrange(len(candidates))]
-
-    for count, same_block, kind in ((churn.icea, True, ChangeKind.ICEA_WI),
-                                    (churn.ccea, False, ChangeKind.CCEA_WI)):
         for _ in range(count):
-            record(EdgeChange(*norm(*draw_pair(same_block)), rng.uniform(lo, hi)), kind)
-    for count, same_block, kind in ((churn.iced, True, ChangeKind.ICED_WD),
-                                    (churn.cced, False, ChangeKind.CCED_WD)):
-        for _ in range(count):
-            u, v, w = draw_existing_edge(same_block)
+            if not candidates:
+                name = "intra" if same_block else "cross"
+                raise InfeasibleChurnError(f"no {name}-community edge left to decrease")
+            u, v, w = candidates.pop(rng.randrange(len(candidates)))
             dw = -w if rng.random() < 0.5 else -w * rng.uniform(0.3, 0.7)
             record(EdgeChange(u, v, dw), kind)
 
     membership.update(new_members)
-    delta = GraphDelta(frozenset(added), frozenset(removed), tuple(edge_changes))
-    return delta, labels, next_vertex
+    return GraphDelta(added, removed, edge_changes), labels, next_vertex
 
 
 def _articulation_points(g: WeightedGraph) -> set[int]:

@@ -8,6 +8,7 @@ from dynamo import (
     GraphDelta,
     InfeasibleChurnError,
     VertexAddition,
+    WeightedGraph,
     apply_delta,
     classify,
     louvain,
@@ -104,6 +105,22 @@ class TestGenerate:
         assert digest("".join(scenario.truth_texts)) == (
             "69c9afdaf40b3211c0eef2a913840ee0a451091c700b9dd1aa372ea2d7f43e05")
 
+    @pytest.mark.parametrize("churn, kinds", [(Churn(iced=20, cced=20), 2),
+                                              (Churn(ccea=5, cced=20), 1)])
+    def test_edges_listed_once_per_decrease_kind(self, monkeypatch, churn, kinds):
+        calls = []
+        edges = WeightedGraph.edges
+
+        def counting(graph):
+            calls.append(None)
+            return edges(graph)
+
+        monkeypatch.setattr(WeightedGraph, "edges", counting)
+        cfg = GenConfig(seed=4, num_communities=4, community_size=30, p_in=0.3, p_out=0.05,
+                        num_snapshots=4, churn=churn)
+        generate(cfg)
+        assert len(calls) <= kinds * (cfg.num_snapshots - 1)
+
     def test_newcomer_without_a_drawn_edge_gets_one_block_mate(self):
         # vertex 6 joins block 1 (vertices 3-5) and its random wiring draws no edge
         cfg = GenConfig(seed=0, num_communities=2, community_size=3, p_in=0.4, p_out=0.02,
@@ -120,7 +137,6 @@ class TestGenerate:
 
     def test_deltas_apply_cleanly_and_match_graphs(self):
         scenario = generate(SMALL)
-        from dynamo import WeightedGraph
         graph = WeightedGraph.empty()
         assert len(scenario.graphs) == len(scenario.snapshots)
         for snap, expected in zip(scenario.snapshots, scenario.graphs):
