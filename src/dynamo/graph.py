@@ -672,11 +672,10 @@ class CommunityGraphEdit:
 
 
 def partition_rebuild_aggregates(g, assignment: Mapping[int, int]) -> Partition:
-    """Ground-truth recomputation of per-community aggregates from the graph.
+    """Ground-truth aggregates of a vertex-to-community mapping, recomputed from ``g``.
 
     Used as the oracle against incrementally maintained aggregates.
     """
-    assignment = getattr(assignment, "assignment", assignment)
     return Partition.from_assignment(g, assignment)
 
 

@@ -129,12 +129,14 @@ def ccea_merge_threshold(g_t: WeightedGraph, p_t: Partition, i: int, j: int) -> 
     improves modularity over keeping the structure unchanged iff ``dw`` exceeds
     the returned value. Evaluated on the pre-change snapshot; the cross weight
     of the two communities is read from ``p_t``'s community graph, which is
-    built first when ``p_t`` carries none.
+    built first when ``p_t`` carries none. ``p_t`` must cover ``g_t``.
     """
     c_i = p_t.community_of(i)
     c_j = p_t.community_of(j)
     if c_i == c_j:
         raise SameCommunityError(f"vertices {i} and {j} share community {c_i}")
+    if not p_t.covers(g_t):
+        raise UnknownVertexError("partition does not cover the graph")
     m = g_t.total_weight
     h = p_t.community_graph
     cross = (compress(g_t, p_t) if h is None else h).weight(c_i, c_j)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     ConflictingDeltaError,
@@ -242,13 +242,12 @@ def read_partition_file(path: PathLike) -> dict[int, int]:
     return assignment
 
 
-def format_partition(assignment) -> str:
-    """Serialize a partition (or a vertex-to-community mapping), sorted by vertex."""
-    assignment = getattr(assignment, "assignment", assignment)
+def format_partition(assignment: Mapping[int, int]) -> str:
+    """Serialize a vertex-to-community mapping, sorted by vertex."""
     return "".join(f"{v}\t{assignment[v]}\n" for v in sorted(assignment))
 
 
-def write_partition_file(assignment, path: PathLike) -> None:
+def write_partition_file(assignment: Mapping[int, int], path: PathLike) -> None:
     Path(path).write_text(format_partition(assignment), encoding="utf-8", newline="\n")
 
 

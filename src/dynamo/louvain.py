@@ -49,7 +49,10 @@ def compress(g: WeightedGraph, p: Partition) -> WeightedGraph:
     identity partition of the result has the same modularity as ``p`` on
     ``g``. Vertices keep the order of their community ids, so queue order and
     smallest-id tie breaks on the result match those of a 0..k-1 renumbering.
+    ``p`` must cover ``g`` (see :meth:`Partition.covers`).
     """
+    if not p.covers(g):
+        raise UnknownVertexError("partition does not cover the graph")
     edit = CommunityGraphEdit(g, {}, frozenset(g.vertices))
     edit.add(sorted(p.community_ids))
     edit.regroup(p, p, ())
@@ -69,12 +72,21 @@ def local_moving_pass(g, p: Optional[Partition] = None,
     to community ``b`` appends, in ascending id order, each neighbor outside
     ``b`` that is not queued already. The phase ends when the queue is empty.
     Emptied communities are dropped, and a community that no vertex left or
-    joined keeps ``p``'s member set. The result records ``g`` when ``p`` covers
-    it, and always when it starts from singletons.
+    joined keeps ``p``'s member set. The result records ``g`` as its cover.
+    ``p`` must cover ``g`` (see :meth:`Partition.covers`), an O(1) check when
+    it records ``g``, and each seed must be a vertex of ``g``.
     """
     m = g.total_weight
     if m <= 0.0:
         raise EmptyGraphError("local moving undefined for zero-weight graphs")
+    if p is not None and not p.covers(g):
+        raise UnknownVertexError("initial partition does not cover the graph")
+    vertices = g.vertices
+    queued = set(vertices if seeds is None else seeds)
+    if seeds is not None:
+        stray = [v for v in queued if v not in vertices]
+        if stray:
+            raise UnknownVertexError(f"seed vertex {min(stray)} is not in the graph")
     two_m = 2.0 * m
     min_gain = EPSILON * m  # gains below are tracked scaled by m
 
@@ -83,7 +95,6 @@ def local_moving_pass(g, p: Optional[Partition] = None,
     self_of = g.self_weight
 
     if p is None:
-        vertices = g.vertices
         assign = dict(zip(vertices, vertices))
         alpha = {v: self_of(v) for v in vertices}
         beta = {v: strength_of(v) for v in vertices}
@@ -94,7 +105,6 @@ def local_moving_pass(g, p: Optional[Partition] = None,
         beta = {c: p.beta(c) for c in p.community_ids}
         size = {c: len(p.members(c)) for c in p.community_ids}
 
-    queued = set(g.vertices if seeds is None else seeds)
     queue = deque(sorted(queued))
     moved: set[int] = set()
 
@@ -161,7 +171,7 @@ def local_moving_pass(g, p: Optional[Partition] = None,
         members[c] = members[c].difference(group)
     for c, group in gained.items():
         members[c] = members[c].union(group)
-    result = Partition(assign, members, alpha, beta, cover=g if p.covers(g) else None)
+    result = Partition(assign, members, alpha, beta, cover=g)
     edit = p.community_graph_edit(g)
     if edit is None:
         return result
@@ -180,8 +190,7 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
     unfolds the hierarchy back to the original vertices. The returned
     partition's modularity never falls below the initial one, it carries its
     community graph (the last level graph), and it records ``g`` as the graph
-    it covers (see :meth:`Partition.covers`): ``initial`` was checked to
-    cover ``g``, or is all of its singletons.
+    it covers (see :meth:`Partition.covers`).
 
     Community ids are stable. Level 0 keeps ``initial``'s ids (vertex ids for
     singletons), and a community that a higher level merges into another one
@@ -194,20 +203,11 @@ def louvain(g: WeightedGraph, initial: Optional[Partition] = None,
     vertices by default); an empty set leaves level 0 as ``initial`` has it.
     Every level above 0 starts from all of its vertices.
 
-    The cover check is O(1) when ``initial`` records ``g``, as intermediate
-    partitions do, and the seed check is O(|seeds|).
+    After the zero-weight check, level 0's local moving checks that ``initial``
+    covers ``g`` (O(1) when it records ``g``) and that each seed is in ``g``.
     """
     if g.total_weight <= 0.0:
         raise EmptyGraphError("detection undefined for graphs with zero total weight")
-
-    if initial is not None and not initial.covers(g):
-        raise UnknownVertexError("initial partition does not cover the graph")
-    if seeds is not None:
-        seeds = set(seeds)
-        vertices = g.vertices
-        stray = [v for v in seeds if v not in vertices]
-        if stray:
-            raise UnknownVertexError(f"seed vertex {min(stray)} is not in the graph")
 
     bottom = level_p = local_moving_pass(g, initial, seeds)
     level_graph = g

@@ -19,7 +19,6 @@ from .graph import (
     Change,
     EdgeChange,
     GraphDelta,
-    Partition,
     VertexAddition,
     VertexRemoval,
     WeightedGraph,
@@ -88,15 +87,16 @@ class GeneratedScenario:
     ``graphs[k]`` is snapshot k's graph, the fold of the first k+1 deltas.
     ``labeled_changes[k]`` holds every element of snapshot k's delta with the
     change kind it was drawn as (empty for snapshot 0, which has no
-    predecessor to classify against). The event text carries only additions
-    and weight increases, so it reproduces the sequence exactly iff the churn
-    contains no deletions or vertex removals.
+    predecessor to classify against). ``ground_truth[k]`` maps each vertex of
+    snapshot k to its planted block, as :mod:`dynamo.metrics` scores it. The
+    event text carries only additions and weight increases, so it reproduces
+    the sequence exactly iff the churn contains no deletions or vertex removals.
     """
 
     config: GenConfig
     snapshots: list[Snapshot]
     graphs: list[WeightedGraph]
-    ground_truth: list[Partition]
+    ground_truth: list[dict[int, int]]
     labeled_changes: list[list[tuple[Change, ChangeKind]]]
     event_text: str
     delta_texts: list[str]
@@ -138,7 +138,7 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
 
     snapshots = [Snapshot(0, delta0)]
     graphs = [graph]
-    ground_truth = [Partition.from_assignment(graph, membership)]
+    ground_truth = [dict(membership)]
     labeled: list[list[tuple[Change, ChangeKind]]] = [[]]
     event_lines = [f"{u}\t{v}\t{w!r}\t0" for (u, v), w in base_edges.items()]
 
@@ -149,7 +149,7 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
         graph = apply_delta(graph, delta)
         snapshots.append(Snapshot(k, delta))
         graphs.append(graph)
-        ground_truth.append(Partition.from_assignment(graph, membership))
+        ground_truth.append(dict(membership))
         labeled.append(labels)
         for u, v, dw in delta.edge_changes:
             if dw > 0.0:
@@ -163,7 +163,7 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
         labeled_changes=labeled,
         event_text="".join(line + "\n" for line in event_lines),
         delta_texts=[format_delta(s.delta) for s in snapshots],
-        truth_texts=[format_partition(p) for p in ground_truth],
+        truth_texts=[format_partition(truth) for truth in ground_truth],
     )
 
 

@@ -248,6 +248,12 @@ class TestGenerate:
                      "--p-in", "0.1", "--p-out", "0.09"])
         assert code == 2
 
+    def test_zero_snapshots_exit_two(self, tmp_path, capsys):
+        code = main(["generate", "--out-dir", str(tmp_path / "x"), "--snapshots", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need at least one snapshot\n"
+        assert not (tmp_path / "x").exists()
+
 
 class TestSlice:
     def test_one_timestamp_one_snapshot(self, event_file, tmp_path):

@@ -54,6 +54,13 @@ class TestWeightedGraph:
         assert g.strength(7) == 0.0
         assert g.num_vertices == 3
 
+    def test_unknown_vertex_reads_raise(self):
+        g = graph_of([(0, 1, 1.0)])
+        with pytest.raises(UnknownVertexError, match="^vertex 99 not in graph$"):
+            g.neighbors(99)
+        with pytest.raises(UnknownVertexError, match="^vertex 99 not in graph$"):
+            g.strength(99)
+
     def test_strength_and_total_weight_consistency(self):
         rng = random.Random(11)
         for _ in range(25):

@@ -82,6 +82,10 @@ class TestRunConfig:
 
 
 class TestRunBenchmark:
+    def test_no_snapshots_raises(self):
+        with pytest.raises(ValueError, match="^no snapshots to process$"):
+            run_benchmark([])
+
     def test_louvain_only_rows(self, scenario):
         reports = run_benchmark(scenario.snapshots[:3],
                                 RunConfig(algorithms=("louvain",)))

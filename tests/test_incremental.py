@@ -197,6 +197,18 @@ class TestMergeThreshold:
         with pytest.raises(SameCommunityError):
             ccea_merge_threshold(g, p, 0, 1)
 
+    def test_partition_of_another_graph_rejected(self):
+        # the same vertices, other edges: g1's aggregates give 6.083 on g2, where
+        # the assignment rebuilt on g2 gives -2.0
+        g1 = graph_of(TRIANGLES + [(2, 3, 1.0)])
+        g2 = graph_of([(0, 1, 1.0), (0, 3, 1.0), (1, 4, 1.0), (2, 3, 1.0), (2, 5, 1.0),
+                       (3, 4, 1.0)])
+        p1 = louvain(g1)
+        assert ccea_merge_threshold(
+            g2, partition_rebuild_aggregates(g2, p1.assignment), 2, 3) == pytest.approx(-2.0)
+        with pytest.raises(UnknownVertexError, match="^partition does not cover the graph$"):
+            ccea_merge_threshold(g2, p1, 2, 3)
+
     def test_crossover_against_brute_force(self):
         # sign of (Q_merged - Q_unchanged) flips exactly at the threshold
         rng = random.Random(61)

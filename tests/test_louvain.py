@@ -29,6 +29,11 @@ TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
 
 
+# bridged(1.0)'s vertices with other edges: the same vertex set, so only the
+# recorded graph tells a partition of one from a partition of the other
+REWIRED = [(0, 1, 1.0), (0, 3, 1.0), (1, 4, 1.0), (2, 3, 1.0), (2, 5, 1.0), (3, 4, 1.0)]
+
+
 def bridged(w: float) -> WeightedGraph:
     return graph_of(TRIANGLES + [(2, 3, w)])
 
@@ -109,6 +114,36 @@ class TestLocalMovingPass:
             assert [(c, ours.alpha(c).hex(), ours.beta(c).hex()) for c in ours.community_ids] == [
                 (c, theirs.alpha(c).hex(), theirs.beta(c).hex()) for c in theirs.community_ids]
 
+    def test_zero_weight_graph_raises(self):
+        g = graph_of([], vertices=[0, 1])
+        with pytest.raises(EmptyGraphError,
+                           match="^local moving undefined for zero-weight graphs$"):
+            local_moving_pass(g)
+
+    def test_refuses_a_partition_of_another_graph(self):
+        # g1's aggregates would score the pass's result on g2 at Q 0.6944, where
+        # its assignment rebuilt on g2 scores 0.2083
+        g1, g2 = bridged(1.0), graph_of(REWIRED)
+        with pytest.raises(UnknownVertexError,
+                           match="^initial partition does not cover the graph$"):
+            local_moving_pass(g2, louvain(g1))
+
+    def test_unknown_seed_raises(self):
+        g = bridged(1.0)
+        with pytest.raises(UnknownVertexError, match="^seed vertex 99 is not in the graph$"):
+            local_moving_pass(g, louvain(g), seeds={99})
+
+    def test_result_records_the_graph_a_raw_partition_covers(self):
+        # a partition built from its dicts alone covers by vertex set
+        g = bridged(1.0)
+        p = louvain(g)
+        raw = Partition(dict(p.assignment), {c: p.members(c) for c in p.community_ids},
+                        {c: p.alpha(c) for c in p.community_ids},
+                        {c: p.beta(c) for c in p.community_ids})
+        out = local_moving_pass(g, raw)
+        assert out.covers(g)
+        assert not out.covers(bridged(1.0))  # equal, but another graph
+
 
 class TestCompress:
     def test_identity_compression_of_singletons(self):
@@ -183,6 +218,11 @@ class TestCompress:
         comp = compress(g, p)
         comp2 = compress(comp, partition_of(comp, [{0, 1}]))
         assert comp2.self_weight(0) == pytest.approx(2.0 * g.total_weight, abs=1e-9)
+
+    def test_refuses_a_partition_of_another_graph(self):
+        # g1's aggregates on g2 would give strengths summing to 14.0 where 2m is 12.0
+        with pytest.raises(UnknownVertexError, match="^partition does not cover the graph$"):
+            compress(graph_of(REWIRED), louvain(bridged(1.0)))
 
 
 class TestLouvain:

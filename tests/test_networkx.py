@@ -43,7 +43,7 @@ def assert_same_q(g, p):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_planted_snapshots_truth_and_louvain(scenario, detected, k):
     g = scenario.graphs[k]
-    assert_same_q(g, scenario.ground_truth[k])
+    assert_same_q(g, Partition.from_assignment(g, scenario.ground_truth[k]))
     assert_same_q(g, detected[k])
 
 
@@ -64,7 +64,8 @@ def test_louvain_is_a_full_sweep_local_optimum(scenario, detected, k):
 
 
 def test_compressed_level_graph_self_weights(scenario):
-    level = compress(scenario.graphs[0], scenario.ground_truth[0])
+    g = scenario.graphs[0]
+    level = compress(g, Partition.from_assignment(g, scenario.ground_truth[0]))
     assert any(level.self_weight(v) for v in level.vertices)
     assert_same_q(level, Partition.singletons(level))
     pairs = {v: i // 2 for i, v in enumerate(sorted(level.vertices))}

@@ -113,3 +113,17 @@ def test_update_never_rebuilds_a_snapshot():
              or isinstance(node, ast.Name) and node.id == "apply_delta"
              or isinstance(node, ast.Attribute) and node.attr == "apply_delta"]
     assert not lines, f"incremental.py refers to apply_delta on lines {lines}"
+
+
+@pytest.mark.parametrize("name", ["synthgen.py", "ingest.py"])
+def test_only_detection_builds_partitions(name):
+    # a Partition's aggregates hold on one graph; the planted truth and the
+    # partition files are plain {vertex: community} mappings, so the generator
+    # and the file formats never build or take one
+    path = ROOT / "src" / "dynamo" / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == "Partition"
+             or isinstance(node, ast.Name) and node.id == "Partition"
+             or isinstance(node, ast.Attribute) and node.attr == "Partition"]
+    assert not lines, f"{name} refers to Partition on lines {lines}"

@@ -7,6 +7,7 @@ from dynamo import (
     ChangeKind,
     GraphDelta,
     InfeasibleChurnError,
+    Partition,
     VertexAddition,
     WeightedGraph,
     apply_delta,
@@ -54,6 +55,8 @@ class TestGenConfig:
             GenConfig(p_in=0.1, p_out=0.2, num_communities=2, community_size=50)
         with pytest.raises(ValueError):
             Churn(icea=-1)
+        with pytest.raises(ValueError, match="^need at least one snapshot$"):
+            GenConfig(num_snapshots=0)
 
 
 class TestGenerate:
@@ -127,7 +130,8 @@ class TestGenerate:
                         num_snapshots=2, churn=Churn(vertex_add=1))
         scenario = generate(cfg)
         assert scenario.delta_texts[1] == "AV 6\nEW 4 6 1.0\n"
-        assert scenario.ground_truth[1].assignment[6] == scenario.ground_truth[1].assignment[4]
+        truth = Partition.from_assignment(scenario.graphs[1], scenario.ground_truth[1])
+        assert truth.assignment[6] == truth.assignment[4]
 
     def test_different_seeds_differ(self):
         import dataclasses
@@ -147,7 +151,7 @@ class TestGenerate:
         scenario = generate(SMALL)
         for k in range(1, len(scenario.snapshots)):
             g_prev = scenario.graphs[k - 1]
-            truth_prev = scenario.ground_truth[k - 1]
+            truth_prev = Partition.from_assignment(g_prev, scenario.ground_truth[k - 1])
             delta = scenario.snapshots[k].delta
             for change, kind in scenario.labeled_changes[k]:
                 assert classify(g_prev, truth_prev, change, delta) is kind
@@ -155,6 +159,7 @@ class TestGenerate:
     def test_ground_truth_covers_graphs(self):
         scenario = generate(SMALL)
         for graph, truth in zip(scenario.graphs, scenario.ground_truth):
+            truth = Partition.from_assignment(graph, truth)
             assert set(truth.assignment) == set(graph.vertices)
 
     def test_louvain_recovers_planted_blocks(self):
