@@ -277,7 +277,8 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
     from the delta's flat tuple without building a record per change), vertex
     removals. Removing a vertex drops all its incident edges. A decrease that
     would push a weight below zero raises :class:`NegativeWeightError`; a
-    decrease reaching exactly zero deletes the edge. A weight, a strength or
+    decrease reaching zero, or within float residue of it, deletes the edge,
+    while an increase keeps any positive weight. A weight, a strength or
     the total weight that sums past the largest float raises
     :class:`NegativeWeightError`; the first names its pair.
 
@@ -315,8 +316,9 @@ def apply_delta(g: WeightedGraph, d: GraphDelta) -> WeightedGraph:
                 row_v = adj[v] = own[v] = dict(adj[v])
         old_w = row_u.get(v, 0.0)
         new_w = old_w + dw if old_w else dw  # a new edge keeps the delta's float: 0.0 + dw == dw
-        # dw is finite (GraphDelta checks it), so only a sum past the largest float is inf
-        if _WEIGHT_EPS < new_w < _INF:
+        # dw is finite (GraphDelta checks it), so only a sum past the largest float is
+        # inf; a tiny weight left by an increase is an edge, never decrease residue
+        if _WEIGHT_EPS < new_w < _INF or 0.0 < dw and new_w < _INF:
             row_u[v] = row_v[u] = new_w
         elif -_WEIGHT_EPS <= new_w <= _WEIGHT_EPS:
             row_u.pop(v, None)
@@ -467,10 +469,6 @@ class Partition:
     def num_communities(self) -> int:
         return len(self._members)
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self._assignment)
-
     def community_of(self, v: int) -> int:
         try:
             return self._assignment[v]
@@ -539,7 +537,7 @@ class Partition:
         return self.as_sets() == other.as_sets()
 
     def __repr__(self) -> str:
-        return f"Partition({self.num_communities} communities over {self.num_vertices} vertices)"
+        return f"Partition({len(self._members)} communities over {len(self._assignment)} vertices)"
 
 
 class CommunityGraphEdit:

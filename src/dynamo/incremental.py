@@ -179,9 +179,12 @@ def init(
     refused too; the update never rebuilds a snapshot to compare it), then
     :class:`UnknownVertexError` unless ``p_t`` covers ``g_t`` (see
     :meth:`Partition.covers`). Both checks are O(1) for a partition built from
-    a graph.
+    a graph. When ``p_t`` carries no community graph, :func:`compress` builds
+    it once for every merge test.
     """
     _check_step(g_t1, g_t, p_t, d)
+    if p_t.community_graph is None:  # built once here, not by each merge test
+        p_t = p_t.with_community_graph(compress(g_t, p_t))
 
     dissolve: set[int] = set()
     pair_of: dict[int, frozenset[int]] = {}

@@ -133,8 +133,6 @@ def generate(cfg: GenConfig) -> GeneratedScenario:
     base_edges = _planted_edges(rng, membership, cfg)
     delta0 = GraphDelta(membership, (), ((u, v, w) for (u, v), w in base_edges.items()))
     graph = apply_delta(WeightedGraph.empty(), delta0)
-    if graph.total_weight <= 0.0:
-        raise InfeasibleChurnError("initial snapshot has no edges")
 
     snapshots = [Snapshot(0, delta0)]
     graphs = [graph]
@@ -247,8 +245,6 @@ def _draw_delta(
     for _ in range(churn.vertex_add):
         k = next_vertex
         next_vertex += 1
-        if not blocks:
-            raise InfeasibleChurnError("no surviving block to attach a new vertex to")
         block = blocks[rng.randrange(len(blocks))]
         incident: list[EdgeChange] = []
         for v in alive:

@@ -19,18 +19,9 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from dynamo import (
-    DynamoError,
-    EdgeChange,
-    EmptyGraphError,
-    GraphDelta,
-    ParseError,
-    Partition,
-    SnapshotReport,
-    WeightedGraph,
-    apply_delta,
-)
-from dynamo.ingest import _REPORT_HEADER, _lines
+from dynamo.errors import DynamoError, EmptyGraphError, ParseError
+from dynamo.graph import EdgeChange, GraphDelta, Partition, WeightedGraph, apply_delta
+from dynamo.ingest import SnapshotReport, _REPORT_HEADER, _lines
 from dynamo.louvain import EPSILON
 from dynamo.synthgen import GenConfig
 

@@ -16,21 +16,18 @@ import time
 
 import pytest
 
-from dynamo import (
+from dynamo.cli import main as cli_main
+from dynamo.graph import (
     EdgeChange,
     GraphDelta,
-    RunConfig,
     apply_delta,
-    ari,
-    ccea_merge_threshold,
-    dynamo_update,
-    louvain,
     modularity,
-    nmi,
     partition_rebuild_aggregates,
-    run_benchmark,
 )
-from dynamo.cli import main as cli_main
+from dynamo.harness import RunConfig, run_benchmark
+from dynamo.incremental import ccea_merge_threshold, dynamo_update
+from dynamo.louvain import louvain
+from dynamo.metrics import ari, nmi
 from dynamo.synthgen import Churn, GenConfig, generate
 from helpers import (
     community_graph_mismatch,
@@ -414,7 +411,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
     assert a.truth_texts == b.truth_texts
 
     a.write(tmp_path / "scenario")
-    from dynamo import load_delta_dir
+    from dynamo.ingest import load_delta_dir
     snaps = load_delta_dir(tmp_path / "scenario" / "deltas")
     assert snapshot_graphs(snaps) == a.graphs
     for ours, theirs in zip(a.snapshots, snaps):
@@ -439,7 +436,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
                               churn=Churn(icea=2, ccea=2, vertex_add=1))
     scen = generate(addition_only)
     scen.write(tmp_path / "adds")
-    from dynamo import parse_edge_events, slice_snapshots
+    from dynamo.ingest import parse_edge_events, slice_snapshots
     sliced = slice_snapshots(parse_edge_events(tmp_path / "adds" / "events.tsv"),
                              interval=1, t0=0)
     assert len(sliced) == len(scen.snapshots)

@@ -508,6 +508,21 @@ class TestRun:
             assert rows[(1, name)].modularity == pytest.approx(0.5)
             assert rows[(1, name)].num_communities == 2
 
+    def test_tiny_weights_are_edges(self, tmp_path):
+        # every strictly positive, finite weight is an edge, however small, so
+        # both snapshots are scored: a path whose one community scores 0
+        deltas = tmp_path / "deltas"
+        deltas.mkdir()
+        (deltas / "s0.delta").write_text("AV 0\nAV 1\nAV 2\nEW 0 1 1e-13\n")
+        (deltas / "s1.delta").write_text("EW 1 2 1e-13\n")
+        out = tmp_path / "r.csv"
+        assert main(["run", "--deltas-dir", str(deltas), "--output", str(out)]) == 0
+        rows = {(r.snapshot_index, r.algorithm): r for r in read_reports(out)}
+        for name in ("louvain", "dynamo"):
+            assert [rows[(k, name)].num_edges for k in (0, 1)] == [1, 2]
+            assert [rows[(k, name)].modularity for k in (0, 1)] == [
+                pytest.approx(0.0, abs=1e-12)] * 2
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_weight_exits_one(self, tmp_path, capsys, weight):
         events = tmp_path / "events.tsv"

@@ -4,21 +4,23 @@ import weakref
 
 import pytest
 
-from dynamo import (
+from dynamo.errors import (
     DuplicateVertexError,
-    EdgeChange,
     EmptyGraphError,
-    GraphDelta,
     NegativeWeightError,
-    Partition,
     SelfLoopError,
     UnknownVertexError,
+)
+from dynamo.graph import (
+    EdgeChange,
+    GraphDelta,
+    Partition,
     WeightedGraph,
     apply_delta,
-    louvain,
     modularity,
     partition_rebuild_aggregates,
 )
+from dynamo.louvain import louvain
 from dynamo.synthgen import generate
 from helpers import (
     PLANTED_5K,
@@ -138,6 +140,42 @@ class TestApplyDelta:
         out = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(0, 1, -1.5),)))
         assert out.weight(0, 1) == 0.0
         assert 0 in out.vertices
+
+    def test_decrease_residue_deletes_edge(self):
+        # 0.1 + 0.2 - 0.3 leaves about 5.6e-17, not 0.0: a decrease that ends
+        # that close to zero deletes the edge
+        g = graph_of([(0, 1, 0.1), (1, 2, 1.0)])
+        g = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(0, 1, 0.2),)))
+        assert 0.0 < g.weight(0, 1) - 0.3 < 1e-12
+        out = apply_delta(g, GraphDelta(edge_changes=(EdgeChange(0, 1, -0.3),)))
+        assert out.weight(0, 1) == 0.0 and 1 not in out.neighbors(0)
+        assert out.total_weight == 1.0
+
+    def test_tiny_increase_is_an_edge(self):
+        # every strictly positive, finite weight is an edge, however small
+        g = apply_delta(WeightedGraph.empty(),
+                        GraphDelta(frozenset({0, 1, 2}), frozenset(), ((0, 1, 1e-13),)))
+        assert g.weight(0, 1) == 1e-13 and g.num_edges == 1
+        out = apply_delta(g, GraphDelta(edge_changes=((1, 2, 1e-13), (0, 1, 1e-13))))
+        assert (out.weight(1, 2), out.weight(0, 1)) == (1e-13, 2e-13)
+        assert out.num_edges == 2
+        assert out.total_weight == WeightedGraph(adjacency(out)).total_weight > 0.0
+
+    def test_removing_an_aggregated_vertex_keeps_the_survivors_self_weights(self):
+        # three triangles in a row, one community each: the level-1 graph is a
+        # path of three vertices whose self weights are the triangles' alpha
+        g = graph_of(TRIANGLES + [(6, 7, 1.0), (7, 8, 1.0), (6, 8, 1.0),
+                                  (2, 3, 0.5), (5, 6, 0.5)])
+        h = louvain(g).community_graph
+        assert h.num_vertices == 3
+        gone = min(h.vertices)
+        assert h.self_weight(gone) > 0.0
+        out = apply_delta(h, GraphDelta(removed_vertices=frozenset({gone})))
+        assert gone not in out.vertices and out.self_weight(gone) == 0.0
+        for v in out.vertices:
+            assert out.self_weight(v) == h.self_weight(v) > 0.0
+            assert out.strength(v) == sum(out.neighbors(v).values()) + out.self_weight(v)
+        assert out.total_weight == 0.5 * sum(out.strength(v) for v in out.vertices)
 
     def test_excessive_decrease_rejected(self):
         g = graph_of([(0, 1, 1.0)])

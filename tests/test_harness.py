@@ -2,16 +2,11 @@ import weakref
 
 import pytest
 
-from dynamo import (
-    ConfusionTable,
-    GraphDelta,
-    RunConfig,
-    harness,
-    modularity,
-    partition_rebuild_aggregates,
-    run_benchmark,
-)
+from dynamo import harness
+from dynamo.graph import GraphDelta, modularity, partition_rebuild_aggregates
+from dynamo.harness import RunConfig, run_benchmark
 from dynamo.ingest import Snapshot
+from dynamo.metrics import ConfusionTable
 from dynamo.synthgen import Churn, GenConfig, generate
 
 SCENARIO = GenConfig(seed=11, num_communities=3, community_size=10, p_in=0.5,

@@ -4,31 +4,34 @@ import sys
 
 import pytest
 
-from dynamo import (
-    ChangeKind,
+from dynamo.errors import (
     DuplicateVertexError,
-    EdgeChange,
-    GraphDelta,
     InconsistentSnapshotsError,
-    InitPlan,
-    Partition,
     SameCommunityError,
     UnknownVertexError,
+)
+from dynamo.graph import (
+    EdgeChange,
+    GraphDelta,
+    Partition,
     VertexAddition,
     VertexRemoval,
     WeightedGraph,
     apply_delta,
+    modularity,
+    partition_rebuild_aggregates,
+)
+from dynamo.incremental import (
+    ChangeKind,
+    InitPlan,
     ccea_merge_threshold,
     classify,
     dynamo_update,
     init,
     intermediate_partition,
-    louvain,
-    modularity,
-    nmi,
-    partition_rebuild_aggregates,
 )
-from dynamo.louvain import compress
+from dynamo.louvain import compress, louvain
+from dynamo.metrics import nmi
 from dynamo.synthgen import Churn, GenConfig, generate
 from helpers import (
     PLANTED_5K,
@@ -646,6 +649,25 @@ class TestOnePassInit:
         assert (plan.dissolve, plan.pair_seeds) == (frozenset(), frozenset())
         assert plan.seeds == frozenset(range(101))
         assert plan.beta_shift == {c: float(len(p.members(c))) for c in p.community_ids}
+
+    def test_graphless_partition_compresses_once(self, planted_5k, count_reads):
+        # 50 cross-community additions: each merge test reads the community
+        # graph, which a partition without one must build, once for the batch
+        g, p = planted_5k
+        p.community_graph  # finish a pending edit before counting
+        ends = sorted(g.vertices)
+        pairs = [(u, v) for u, v in zip(ends, reversed(ends))
+                 if u < v and p.community_of(u) != p.community_of(v) and not g.weight(u, v)]
+        d = GraphDelta(edge_changes=tuple(EdgeChange(u, v, 1.0) for u, v in pairs[:50]))
+        assert len(d.edge_changes) == 50
+        g1 = apply_delta(g, d)
+        bare = Partition.from_assignment(g, p.assignment)
+        count = count_reads(g)
+        plan = init(g1, g, p, d)
+        carried = count.reads
+        count = count_reads(g)
+        assert init(g1, g, bare, d) == plan
+        assert count.reads <= carried + g.num_vertices
 
 
 class TestIntermediatePartition:

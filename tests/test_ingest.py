@@ -1,18 +1,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynamo import (
+from dynamo.errors import (
     ConflictingDeltaError,
-    EdgeChange,
-    EdgeEvent,
     EmptyStreamError,
-    GraphDelta,
     NegativeWeightError,
     ParseError,
     SelfLoopError,
+)
+from dynamo.graph import EdgeChange, GraphDelta, VertexAddition, VertexRemoval
+from dynamo.ingest import (
+    EdgeEvent,
     SnapshotReport,
-    VertexAddition,
-    VertexRemoval,
+    format_delta,
+    format_reports,
+    load_delta_dir,
     parse_delta_file,
     parse_edge_events,
     read_partition_file,
@@ -21,7 +23,6 @@ from dynamo import (
     write_partition_file,
     write_reports,
 )
-from dynamo.ingest import format_delta, format_reports, load_delta_dir
 from helpers import graph_of, naive_slices, read_reports, snapshot_graphs
 
 

@@ -3,19 +3,16 @@ import random
 
 import pytest
 
-from dynamo import (
-    EmptyGraphError,
+from dynamo.errors import EmptyGraphError, UnknownVertexError
+from dynamo.graph import (
     GraphDelta,
     Partition,
-    UnknownVertexError,
     WeightedGraph,
     apply_delta,
-    compress,
-    local_moving_pass,
-    louvain,
     modularity,
     partition_rebuild_aggregates,
 )
+from dynamo.louvain import compress, local_moving_pass, louvain
 from helpers import (
     community_graph_mismatch,
     exhaustive_best_partition,

@@ -10,14 +10,9 @@ import tracemalloc
 
 import pytest
 
-from dynamo import (
-    WeightedGraph,
-    apply_delta,
-    louvain,
-    parse_delta_file,
-    parse_edge_events,
-    slice_snapshots,
-)
+from dynamo.graph import WeightedGraph, apply_delta
+from dynamo.ingest import parse_delta_file, parse_edge_events, slice_snapshots
+from dynamo.louvain import louvain
 from dynamo.synthgen import Churn, GenConfig, generate
 
 # 2,000 vertices in 8 blocks: about 25k edges, all in the first snapshot's delta

@@ -3,17 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynamo import (
-    ConfusionTable,
-    EmptyGraphError,
-    VertexSetMismatchError,
-    WeightedGraph,
-    ari,
-    louvain,
-    modularity,
-    nmi,
-    partition_rebuild_aggregates,
-)
+from dynamo.errors import EmptyGraphError, VertexSetMismatchError
+from dynamo.graph import WeightedGraph, modularity, partition_rebuild_aggregates
+from dynamo.louvain import louvain
+from dynamo.metrics import ConfusionTable, ari, nmi
 from helpers import (
     GraphTooLargeError,
     brute_force_best_q,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dynamo import Partition, modularity
+from dynamo.graph import Partition, modularity
 from dynamo.louvain import compress, louvain
 from dynamo.synthgen import generate
 from helpers import PLANTED_5K, residual_movers

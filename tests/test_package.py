@@ -7,54 +7,42 @@ from pathlib import Path
 
 import pytest
 
-import dynamo
-from dynamo import ConfusionTable, InitPlan, Snapshot, SnapshotReport
+from dynamo.graph import GraphDelta
+from dynamo.incremental import InitPlan
+from dynamo.ingest import Snapshot, SnapshotReport
+from dynamo.metrics import ConfusionTable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-PUBLIC_NAMES = [
-    "ALGORITHMS", "Change", "ChangeKind", "Churn", "ConflictingDeltaError", "ConfusionTable",
-    "DuplicateVertexError", "DynamoError", "EPSILON", "EdgeChange", "EdgeEvent",
-    "EmptyGraphError", "EmptyStreamError", "GenConfig", "GeneratedScenario", "GraphDelta",
-    "InconsistentSnapshotsError", "InfeasibleChurnError", "InitPlan", "NegativeWeightError",
-    "ParseError", "Partition", "RunConfig", "SameCommunityError", "SelfLoopError", "Snapshot",
-    "SnapshotReport", "UnknownVertexError", "VertexAddition", "VertexRemoval",
-    "VertexSetMismatchError", "WeightedGraph", "apply_delta", "ari", "ccea_merge_threshold",
-    "classify", "compress", "dynamo_update", "errors", "generate", "graph", "harness",
-    "incremental", "ingest", "init", "intermediate_partition", "load_delta_dir",
-    "local_moving_pass", "louvain", "metrics", "modularity", "nmi", "parse_delta_file",
-    "parse_edge_events", "partition_rebuild_aggregates", "read_partition_file",
-    "run_benchmark", "slice_snapshots", "synthgen", "write_delta_file",
-    "write_partition_file", "write_reports",
-]
+LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dynamo'))\n"
 
 
-def test_public_names_are_unchanged():
-    assert dynamo.__all__ == PUBLIC_NAMES
-
-
-def test_generator_names_load_on_first_access():
-    # a fresh interpreter: `import dynamo` leaves the generator unloaded until
-    # one of its names is asked for, and unknown names still fail
-    code = (
-        "import sys, dynamo\n"
-        "print('dynamo.synthgen' in sys.modules)\n"
-        "from dynamo import Churn, GenConfig, GeneratedScenario, generate\n"
-        "from dynamo.synthgen import generate as direct\n"
-        "print('dynamo.synthgen' in sys.modules, generate is direct,\n"
-        "      GenConfig.__module__, Churn.__module__, GeneratedScenario.__module__)\n"
-        "try:\n"
-        "    dynamo.no_such_name\n"
-        "except AttributeError as exc:\n"
-        "    print(exc)\n"
-    )
+def fresh(code: str) -> list[str]:
+    """The output lines of ``code`` run in a fresh interpreter."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=300, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert out.stdout.splitlines() == [
-        "False",
-        "True True dynamo.synthgen dynamo.synthgen dynamo.synthgen",
-        "module 'dynamo' has no attribute 'no_such_name'",
-    ]
+    return out.stdout.splitlines()
+
+
+def test_each_name_has_one_import_path():
+    # the package root re-exports nothing: each name is imported from the module
+    # that defines it, `dynamo.louvain` is that module, and importing one module
+    # loads only what it imports
+    assert fresh("import sys, dynamo\n" + LOADED) == ["['dynamo']"]
+    assert fresh("import types, dynamo.louvain as m\n"
+                 "print(isinstance(m, types.ModuleType), m.__name__)\n") == [
+        "True dynamo.louvain"]
+    assert fresh("import sys, dynamo.graph\n" + LOADED) == [
+        "['dynamo', 'dynamo.errors', 'dynamo.graph']"]
+    # argparse loads only once `main` builds its parser, after the package:
+    # loaded before it, argparse raised the peak RSS of a run (see cli._build_parser)
+    assert fresh("import contextlib, io, sys, dynamo.cli\n" + LOADED
+                 + "print('argparse' in sys.modules)\n"
+                 "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+                 "    dynamo.cli.main(['--help'])\n"
+                 "print('argparse' in sys.modules)\n") == [
+        "['dynamo', 'dynamo.cli', 'dynamo.errors', 'dynamo.graph', 'dynamo.harness', "
+        "'dynamo.incremental', 'dynamo.ingest', 'dynamo.louvain', 'dynamo.metrics']",
+        "False", "True"]
 
 
 def test_generate_command_runs_in_a_fresh_interpreter(tmp_path):
@@ -72,8 +60,8 @@ class TestRecords:
     def test_records_compare_and_unpack_as_tuples(self):
         report = SnapshotReport(0, "dynamo", 0.5, 1.0, 1.0, 10, 10, 4, 3, 2)
         assert report._replace(modularity=None).modularity is None
-        index, delta = Snapshot(3, dynamo.GraphDelta())
-        assert (index, delta) == (3, dynamo.GraphDelta())
+        index, delta = Snapshot(3, GraphDelta())
+        assert (index, delta) == (3, GraphDelta())
         assert ConfusionTable({(0, 0): 2}, {0: 2}, {0: 2}, 2) == ({(0, 0): 2}, {0: 2}, {0: 2}, 2)
 
     def test_init_plan_defaults_are_empty_and_read_only(self):

@@ -127,3 +127,14 @@ def test_only_detection_builds_partitions(name):
              or isinstance(node, ast.Name) and node.id == "Partition"
              or isinstance(node, ast.Attribute) and node.attr == "Partition"]
     assert not lines, f"{name} refers to Partition on lines {lines}"
+
+
+def test_package_root_imports_nothing():
+    # each name has one import path, the module that defines it: a root that
+    # re-exports gives it a second one, shadows the module `dynamo.louvain` with
+    # its function and loads every module on the first import of any one
+    path = ROOT / "src" / "dynamo" / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not lines, f"__init__.py imports on lines {lines}"

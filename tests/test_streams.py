@@ -15,16 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from dynamo import (
-    DynamoError,
+from dynamo.errors import DynamoError
+from dynamo.graph import (
     EdgeChange,
     GraphDelta,
-    RunConfig,
     WeightedGraph,
     apply_delta,
     partition_rebuild_aggregates,
-    run_benchmark,
 )
+from dynamo.harness import RunConfig, run_benchmark
 from dynamo.ingest import Snapshot
 from helpers import adjacency, community_graph_mismatch, modularity_pairwise
 

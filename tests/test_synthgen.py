@@ -3,21 +3,12 @@ from collections import Counter
 
 import pytest
 
-from dynamo import (
-    ChangeKind,
-    GraphDelta,
-    InfeasibleChurnError,
-    Partition,
-    VertexAddition,
-    WeightedGraph,
-    apply_delta,
-    classify,
-    louvain,
-    nmi,
-    parse_delta_file,
-    parse_edge_events,
-    slice_snapshots,
-)
+from dynamo.errors import InfeasibleChurnError
+from dynamo.graph import GraphDelta, Partition, VertexAddition, WeightedGraph, apply_delta
+from dynamo.incremental import ChangeKind, classify
+from dynamo.ingest import parse_delta_file, parse_edge_events, slice_snapshots
+from dynamo.louvain import louvain
+from dynamo.metrics import nmi
 from dynamo.synthgen import Churn, GenConfig, generate
 from helpers import snapshot_graphs
 
@@ -168,6 +159,18 @@ class TestGenerate:
         scenario = generate(cfg)
         detected = louvain(scenario.graphs[0])
         assert nmi(scenario.ground_truth[0], detected) >= 0.9
+
+    def test_tiny_weights_are_edges(self):
+        # every strictly positive weight is an edge, however small: each planted
+        # edge, each increase and each newcomer's edge is in the graphs
+        cfg = GenConfig(seed=4, num_communities=2, community_size=8, p_in=0.5, p_out=0.08,
+                        num_snapshots=3, churn=Churn(icea=1, ccea=1, vertex_add=1),
+                        weight_range=(1e-13, 1e-13))
+        scenario = generate(cfg)
+        planted = scenario.snapshots[0].delta.edge_changes
+        assert scenario.graphs[0].num_edges == len(planted) > 0
+        for snap, graph in zip(scenario.snapshots, scenario.graphs):
+            assert all(graph.weight(u, v) >= 1e-13 for u, v, _ in snap.delta.edge_changes)
 
     def test_infeasible_churn_reported(self):
         cfg = GenConfig(seed=2, num_communities=2, community_size=3, p_in=0.9,
